@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 invalid input, 3 infeasible configuration,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -83,6 +84,8 @@ class RunConfig:
             raise ValueError("--np and --np2 must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError("--seed must fit in 64 bits")
+        if not (math.isfinite(self.imbalance_tol) and self.imbalance_tol >= 0):
+            raise ValueError(f"--tol must be a finite number >= 0, got {self.imbalance_tol}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,9 @@
 
 The pipeline is the classic V-cycle: heavy-edge matching coarsens the graph
 until it is small, a greedy graph-growing pass bisects the coarsest level, and
-the bisection is projected back up with a Fiduccia–Mattheyses boundary
-refinement at every level. k-way output comes from recursive bisection over a
+the bisection is projected back up with Fiduccia–Mattheyses refinement at
+every level. Refinement, rebalancing and count repair pick their moves through
+one exact gain-heap engine. k-way output comes from recursive bisection over a
 split of the target-weight vector.
 
 Everything here is deterministic for a fixed seed.
@@ -11,12 +12,13 @@ Everything here is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -228,15 +230,94 @@ def _compute_gains(g: Graph, parts: np.ndarray) -> np.ndarray:
     return np.bincount(src, weights=signed, minlength=g.num_vertices).astype(np.int64)
 
 
-def _apply_move_gains(g: Graph, parts: np.ndarray, gains: np.ndarray, v: int) -> None:
-    """Update neighbor gains after flipping vertex v (parts already flipped)."""
-    nbrs = g.neighbors(v)
-    wgts = g.neighbor_weights(v)
-    # An edge to v flips internal<->external: neighbors now beside v lose the
-    # incentive to move (edge would re-cut), the ones left behind gain it.
-    same = parts[nbrs] == parts[v]
-    gains[nbrs] += np.where(same, -2 * wgts, 2 * wgts)
-    gains[v] = -gains[v]
+class _GainHeaps:
+    """Exact best-move selection for two-way refinement and repair.
+
+    Vertices sit in one lazy-deletion heap per (side, vertex weight) class,
+    keyed ``(-gain, id)``, so the smallest live entry over a set of classes is
+    the highest-gain move among them, ties going to the lowest id. An entry is
+    live while its vertex is still on that side with that gain: every gain or
+    side change pushes a fresh entry, and stale ones are popped when they
+    surface. The callers' balance rules depend only on a vertex's side and
+    weight, so they admit or reject whole classes and no move scans the
+    vertices. Gain updates walk the moved vertex's neighbours through Python
+    lists taken once from the CSR arrays: O(degree · log n) per move.
+
+    The graph must be simple (no self-loops, no repeated neighbours), as
+    :meth:`Graph.validate` requires.
+    """
+
+    def __init__(self, g: Graph):
+        self._graph = g
+        self._offsets = g.adjacency_offsets.tolist()
+        self._adjacency = g.adjacency_list.tolist()
+        self._double_weights = (2 * g.edge_weights).tolist()
+        self.weights = g.vertex_weights.tolist()
+        self.classes = sorted(set(self.weights))
+
+    def load(self, parts: np.ndarray) -> None:
+        """Start over from ``parts``: gains from scratch, every vertex unlocked."""
+        gains = _compute_gains(self._graph, parts)
+        self.parts = parts.tolist()
+        self.gains = gains.tolist()
+        self._locked = [False] * len(self.parts)
+        self._heaps = heaps = {(s, w): [] for s in (0, 1) for w in self.classes}
+        # Sorted by (side, weight, -gain, id), each class is one run, and a
+        # sorted run is already a heap. lexsort is stable, so ties keep id order.
+        vw = self._graph.vertex_weights
+        order = np.lexsort((-gains, vw, parts))
+        side, weight = parts[order], vw[order]
+        starts = np.flatnonzero((np.diff(side) != 0) | (np.diff(weight) != 0)) + 1
+        entries = list(zip((-gains[order]).tolist(), order.tolist()))
+        bounds = [0, *starts.tolist(), len(order)] if len(order) else []
+        for lo, hi in zip(bounds, bounds[1:]):
+            heaps[int(side[lo]), int(weight[lo])] = entries[lo:hi]
+
+    def best(self, classes: Iterable[tuple[int, int]]) -> int:
+        """Highest-gain vertex (tie: lowest id) in the given ``(side, weight)``
+        classes, or -1 if they are all empty."""
+        parts, gains, heaps, heappop = self.parts, self.gains, self._heaps, heapq.heappop
+        top = None
+        for key in classes:
+            heap = heaps[key]
+            side = key[0]
+            while heap:
+                neg, v = entry = heap[0]
+                if parts[v] == side and gains[v] == -neg:
+                    if top is None or entry < top:
+                        top = entry
+                    break
+                heappop(heap)
+        return -1 if top is None else top[1]
+
+    def move(self, v: int, lock: bool = False) -> None:
+        """Flip ``v`` to the other side and update the gains around it.
+
+        A locked vertex gets no heap entries until the next :meth:`load`, so
+        it cannot be picked again; its old entries are stale by side.
+        """
+        parts, gains, heaps, weights, locked = (
+            self.parts, self.gains, self._heaps, self.weights, self._locked
+        )
+        heappush = heapq.heappush
+        side = parts[v] ^ 1
+        parts[v] = side
+        gains[v] = -gains[v]
+        if lock:
+            locked[v] = True
+        else:
+            heappush(heaps[side, weights[v]], (-gains[v], v))
+        lo, hi = self._offsets[v], self._offsets[v + 1]
+        for u, dw in zip(self._adjacency[lo:hi], self._double_weights[lo:hi]):
+            # The edge to v flips internal<->external: a neighbour now beside
+            # v loses the incentive to move (the edge would re-cut), one left
+            # behind gains it.
+            if parts[u] == side:
+                gains[u] -= dw
+            else:
+                gains[u] += dw
+            if not locked[u]:
+                heappush(heaps[parts[u], weights[u]], (-gains[u], u))
 
 
 def fm_refine(
@@ -246,12 +327,14 @@ def fm_refine(
     imbalance_tol: float,
     max_passes: int = 10,
 ) -> Partition:
-    """Fiduccia–Mattheyses boundary refinement of a 2-part partition.
+    """Fiduccia–Mattheyses refinement of a 2-part partition.
 
     Each pass builds a sequence of single-vertex moves (every vertex at most
-    once; each move keeps part 0's weight within ``imbalance_tol`` of target)
-    choosing the highest-gain feasible move each step (tie: lower vertex id),
-    then rolls back to the best prefix — lowest cut, then smallest weight
+    once; each move keeps part 0's weight within ``imbalance_tol`` of target).
+    Every vertex not yet moved in the pass whose weight fits the window is a
+    candidate, not only boundary vertices; the highest-gain candidate moves
+    (tie: lower vertex id), found through per-(side, weight) gain heaps. The
+    pass then rolls back to the best prefix — lowest cut, then smallest weight
     deviation, then shortest. Passes repeat until the cut stops improving or
     ``max_passes`` is reached. The returned cut never exceeds the input cut.
 
@@ -262,7 +345,6 @@ def fm_refine(
         raise ValueError("fm_refine expects a 2-part partition")
     if len(p.parts) != g.num_vertices:
         raise ValueError("partition length mismatch")
-    nv = g.num_vertices
     vw = g.vertex_weights
     total = g.total_vertex_weight
     target = target_fraction * total
@@ -280,37 +362,35 @@ def fm_refine(
         )
         return Partition(parts, 2)
 
-    ids = np.arange(nv, dtype=np.int64)
+    heaps = _GainHeaps(g)
+    weights, classes = heaps.weights, heaps.classes
+    limit = window + eps
     cut = edge_cut(g, Partition(parts, 2))
     for _ in range(max_passes):
         pass_start_cut = cut
-        gains = _compute_gains(g, parts)
-        moved = np.zeros(nv, dtype=bool)
+        heaps.load(parts)
+        side_of, gains = heaps.parts, heaps.gains
         trail: list[int] = []
         cur_cut, cur_w0 = cut, w0
         best = (cut, abs(w0 - target), 0)  # (cut, deviation, prefix length)
         while True:
-            # Moving v off side 0 shifts w0 by -vw[v]; off side 1 by +vw[v].
-            # Feasibility therefore restricts vw[v] to an interval per side.
-            movable = ~moved & (
-                np.where(parts == 0, np.abs((cur_w0 - vw) - target), np.abs((cur_w0 + vw) - target))
-                <= window + eps
-            )
-            cand = np.flatnonzero(movable)
-            if cand.size == 0:
+            # Moving v off side 0 shifts w0 by -w; off side 1 by +w. Whether
+            # that stays in the window depends only on the side and weight.
+            movable = [(0, w) for w in classes if abs((cur_w0 - w) - target) <= limit]
+            movable += [(1, w) for w in classes if abs((cur_w0 + w) - target) <= limit]
+            v = heaps.best(movable)
+            if v < 0:
                 break
-            v = int(cand[np.argmax(gains[cand] * (nv + 1) - ids[cand])])
-            cur_cut -= int(gains[v])
-            cur_w0 += int(vw[v]) if parts[v] == 1 else -int(vw[v])
-            parts[v] ^= 1
-            moved[v] = True
-            _apply_move_gains(g, parts, gains, v)
+            cur_cut -= gains[v]
+            cur_w0 += weights[v] if side_of[v] == 1 else -weights[v]
+            heaps.move(v, lock=True)
             trail.append(v)
             state = (cur_cut, abs(cur_w0 - target), len(trail))
             if state[:2] < best[:2]:
                 best = state
         for v in reversed(trail[best[2]:]):  # roll back past the best prefix
-            parts[v] ^= 1
+            side_of[v] ^= 1
+        parts = np.array(side_of, dtype=np.int64)
         cut = best[0]
         w0 = int(vw[parts == 0].sum())
         if cut >= pass_start_cut:
@@ -327,23 +407,20 @@ def _rebalance(
     one wins (tie: lower id). Used after projecting a coarse bisection to a
     finer level, where weight granularity can leave the window overshot.
     """
-    vw = g.vertex_weights
-    total = g.total_vertex_weight
-    target = target_fraction * total
-    gains = _compute_gains(g, parts)
-    ids = np.arange(g.num_vertices, dtype=np.int64)
-    w0 = int(vw[parts == 0].sum())
+    heaps = _GainHeaps(g)
+    heaps.load(parts)
+    target = target_fraction * g.total_vertex_weight
+    w0 = int(g.vertex_weights[parts == 0].sum())
     while True:
         dev = abs(w0 - target)
         heavy = 0 if w0 > target else 1
-        improves = (parts == heavy) & (vw < 2 * dev)
-        cand = np.flatnonzero(improves)
-        if cand.size == 0:
-            return parts
-        v = int(cand[np.argmax(gains[cand] * (g.num_vertices + 1) - ids[cand])])
-        w0 += int(vw[v]) if heavy == 1 else -int(vw[v])
-        parts[v] ^= 1
-        _apply_move_gains(g, parts, gains, v)
+        v = heaps.best([(heavy, w) for w in heaps.classes if w < 2 * dev])
+        if v < 0:
+            break
+        w0 += heaps.weights[v] if heavy == 1 else -heaps.weights[v]
+        heaps.move(v)
+    parts[:] = heaps.parts
+    return parts
 
 
 def _repair_counts(
@@ -351,17 +428,18 @@ def _repair_counts(
 ) -> np.ndarray:
     """Move best-gain vertices into whichever side falls short of its minimum."""
     counts = [int((parts == 0).sum()), int((parts == 1).sum())]
-    gains = _compute_gains(g, parts)
-    ids = np.arange(g.num_vertices, dtype=np.int64)
+    if counts[0] >= min_counts[0] and counts[1] >= min_counts[1]:
+        return parts
+    heaps = _GainHeaps(g)
+    heaps.load(parts)
     for side in (0, 1):
         other = 1 - side
+        donors = [(other, w) for w in heaps.classes]
         while counts[side] < min_counts[side]:
-            cand = np.flatnonzero(parts == other)
-            v = int(cand[np.argmax(gains[cand] * (g.num_vertices + 1) - ids[cand])])
-            parts[v] = side
+            heaps.move(heaps.best(donors))
             counts[side] += 1
             counts[other] -= 1
-            _apply_move_gains(g, parts, gains, v)
+    parts[:] = heaps.parts
     return parts
 
 

@@ -185,6 +185,16 @@ class TestExitCodes:
         run("gen-mesh", "--nx", 2, "--ny", 1, "--out", mesh)
         assert run("partition", "--mesh", mesh, "--np", 0, "--out", tmp_path / "p.txt") == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5"])
+    @pytest.mark.parametrize("command", ["partition", "compare"])
+    def test_bad_tol_is_2(self, tmp_path, capsys, command, tol):
+        mesh = tmp_path / "m.txt"
+        out = tmp_path / "out.txt"
+        run("gen-mesh", "--nx", 2, "--ny", 2, "--out", mesh)
+        assert run(command, "--mesh", mesh, "--np", 2, f"--tol={tol}", "--out", out) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_graph_input_matches_mesh_dual(tmp_path):
     from hierpart import dual_graph, generate_structured_quad, write_graph

@@ -23,6 +23,7 @@ from hierpart import (
     initial_bisection,
     partition_kway,
 )
+from hierpart.kway import _compute_gains, _rebalance, _repair_counts
 
 
 def test_target_weights_validation():
@@ -156,6 +157,12 @@ class TestFMRefine:
             out = fm_refine(path4, Partition([0, 0, 0, 1], 2), 0.5, 0.0)
         assert out.parts.tolist() == [0, 0, 0, 1]
 
+    def test_empty_and_single_vertex_graphs(self):
+        empty = fm_refine(build_graph([], 0), Partition(np.zeros(0, dtype=np.int64), 2), 0.5, 0.1)
+        assert empty.parts.tolist() == []
+        single = fm_refine(build_graph([], 1), Partition([1], 2), 0.5, 0.6)
+        assert single.parts.tolist() == [1]
+
     def test_requires_two_parts(self, path4):
         with pytest.raises(ValueError):
             fm_refine(path4, Partition([0, 1, 2, 0], 3), 0.5, 0.1)
@@ -175,6 +182,164 @@ class TestFMRefine:
             warnings.simplefilter("error")  # feasible input must not warn
             out = fm_refine(g, p, target, rng.random() * 0.5)
         assert edge_cut(g, out) <= before
+
+
+# Reference engine: the O(n)-per-move argmax scans the gain heaps replaced,
+# kept verbatim as the oracle for exact selection (highest gain, then lowest id).
+
+
+def _scan_apply_move_gains(g, parts, gains, v):
+    nbrs = g.neighbors(v)
+    wgts = g.neighbor_weights(v)
+    same = parts[nbrs] == parts[v]
+    gains[nbrs] += np.where(same, -2 * wgts, 2 * wgts)
+    gains[v] = -gains[v]
+
+
+def _scan_fm_refine(g, p, target_fraction, imbalance_tol, max_passes=10):
+    nv = g.num_vertices
+    vw = g.vertex_weights
+    total = g.total_vertex_weight
+    target = target_fraction * total
+    window = imbalance_tol * total
+    eps = 1e-9 * max(1.0, total)
+    parts = p.parts.copy()
+    w0 = int(vw[parts == 0].sum())
+    if abs(w0 - target) > window + eps:
+        warnings.warn("outside the window", BalanceWindowWarning)
+        return Partition(parts, 2)
+    ids = np.arange(nv, dtype=np.int64)
+    cut = edge_cut(g, Partition(parts, 2))
+    for _ in range(max_passes):
+        pass_start_cut = cut
+        gains = _compute_gains(g, parts)
+        moved = np.zeros(nv, dtype=bool)
+        trail = []
+        cur_cut, cur_w0 = cut, w0
+        best = (cut, abs(w0 - target), 0)
+        while True:
+            movable = ~moved & (
+                np.where(parts == 0, np.abs((cur_w0 - vw) - target), np.abs((cur_w0 + vw) - target))
+                <= window + eps
+            )
+            cand = np.flatnonzero(movable)
+            if cand.size == 0:
+                break
+            v = int(cand[np.argmax(gains[cand] * (nv + 1) - ids[cand])])
+            cur_cut -= int(gains[v])
+            cur_w0 += int(vw[v]) if parts[v] == 1 else -int(vw[v])
+            parts[v] ^= 1
+            moved[v] = True
+            _scan_apply_move_gains(g, parts, gains, v)
+            trail.append(v)
+            state = (cur_cut, abs(cur_w0 - target), len(trail))
+            if state[:2] < best[:2]:
+                best = state
+        for v in reversed(trail[best[2]:]):
+            parts[v] ^= 1
+        cut = best[0]
+        w0 = int(vw[parts == 0].sum())
+        if cut >= pass_start_cut:
+            break
+    return Partition(parts, 2)
+
+
+def _scan_rebalance(g, parts, target_fraction):
+    vw = g.vertex_weights
+    target = target_fraction * g.total_vertex_weight
+    gains = _compute_gains(g, parts)
+    ids = np.arange(g.num_vertices, dtype=np.int64)
+    w0 = int(vw[parts == 0].sum())
+    while True:
+        dev = abs(w0 - target)
+        heavy = 0 if w0 > target else 1
+        cand = np.flatnonzero((parts == heavy) & (vw < 2 * dev))
+        if cand.size == 0:
+            return parts
+        v = int(cand[np.argmax(gains[cand] * (g.num_vertices + 1) - ids[cand])])
+        w0 += int(vw[v]) if heavy == 1 else -int(vw[v])
+        parts[v] ^= 1
+        _scan_apply_move_gains(g, parts, gains, v)
+
+
+def _scan_repair_counts(g, parts, min_counts):
+    counts = [int((parts == 0).sum()), int((parts == 1).sum())]
+    gains = _compute_gains(g, parts)
+    ids = np.arange(g.num_vertices, dtype=np.int64)
+    for side in (0, 1):
+        other = 1 - side
+        while counts[side] < min_counts[side]:
+            cand = np.flatnonzero(parts == other)
+            v = int(cand[np.argmax(gains[cand] * (g.num_vertices + 1) - ids[cand])])
+            parts[v] = side
+            counts[side] += 1
+            counts[other] -= 1
+            _scan_apply_move_gains(g, parts, gains, v)
+    return parts
+
+
+def _weighted_instance(rng):
+    """Random graph with vertex weights 1-5 (several weight classes), edge weights 1-3."""
+    nv = rng.randint(2, 40)
+    density = rng.choice([0.1, 0.25, 0.5])
+    edges = [
+        (u, v, rng.randint(1, 3))
+        for u in range(nv)
+        for v in range(u + 1, nv)
+        if rng.random() < density
+    ]
+    g = build_graph(edges, nv, [rng.randint(1, 5) for _ in range(nv)])
+    return g, random_two_sided(rng, nv)
+
+
+class TestGainHeapEngine:
+    """The gain-heap engine picks exactly the moves the O(n) scans picked."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_fm_refine_matches_scan(self, seed):
+        rng = random.Random(seed)
+        g, p = _weighted_instance(rng)
+        w0 = int(g.vertex_weights[p.parts == 0].sum())
+        total = g.total_vertex_weight
+        if rng.random() < 0.5:
+            target = w0 / total  # the window admits the input
+        else:
+            target = rng.uniform(0.05, 0.95)  # may lie outside and warn
+        tol = rng.choice([0.0, rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.5)])
+        passes = rng.choice([1, 2, 10])
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            expected = _scan_fm_refine(g, p, target, tol, passes)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = fm_refine(g, p, target, tol, passes)
+        assert got.parts.tobytes() == expected.parts.tobytes()
+        assert [w.category for w in got_warnings] == [w.category for w in expected_warnings]
+        assert len(got_warnings) == (abs(w0 - target * total) > tol * total + 1e-9 * total)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_rebalance_matches_scan(self, seed):
+        rng = random.Random(seed)
+        g, p = _weighted_instance(rng)
+        target = rng.uniform(0.05, 0.95)
+        expected = _scan_rebalance(g, p.parts.copy(), target)
+        got = _rebalance(g, p.parts.copy(), target)
+        assert got.tobytes() == expected.tobytes()
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_repair_counts_matches_scan(self, seed):
+        rng = random.Random(seed)
+        g, p = _weighted_instance(rng)
+        nv = g.num_vertices
+        need0 = rng.randint(1, nv - 1)
+        mins = (need0, rng.randint(1, nv - need0))
+        expected = _scan_repair_counts(g, p.parts.copy(), mins)
+        got = _repair_counts(g, p.parts.copy(), mins)
+        assert got.tobytes() == expected.tobytes()
+        assert (got == 0).sum() >= mins[0] and (got == 1).sum() >= mins[1]
 
 
 class TestPartitionKway:
