@@ -96,15 +96,24 @@ class Graph:
             self.adjacency_list.min() < 0 or self.adjacency_list.max() >= self.num_vertices
         ):
             raise ValueError("neighbor id out of range")
-        fwd = {}
-        for u, v, w in zip(src, self.adjacency_list, self.edge_weights):
-            key = (int(u), int(v))
-            if key in fwd:
-                raise ValueError(f"duplicate neighbor {v} of vertex {u}")
-            fwd[key] = int(w)
-        for (u, v), w in fwd.items():
-            if fwd.get((v, u)) != w:
-                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        # Sort the (u, v) keys stably: a repeat is any entry after the first
+        # of its run, and the reverse of every entry must be found among them.
+        nv = self.num_vertices
+        keys = src * nv + self.adjacency_list
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+        if len(repeats):
+            i = repeats.min()
+            raise ValueError(f"duplicate neighbor {self.adjacency_list[i]} of vertex {src[i]}")
+        if not len(keys):
+            return
+        reverse = self.adjacency_list * nv + src
+        at = np.minimum(np.searchsorted(sorted_keys, reverse), len(keys) - 1)
+        matched = (sorted_keys[at] == reverse) & (self.edge_weights[order[at]] == self.edge_weights)
+        if not matched.all():
+            i = np.argmin(matched)
+            raise ValueError(f"asymmetric adjacency between {src[i]} and {self.adjacency_list[i]}")
 
 
 @dataclass(eq=False)
@@ -143,15 +152,16 @@ class PartMetrics:
 
 
 def build_graph(
-    edge_list: Iterable[tuple[int, int, int]],
+    edge_list: Iterable[tuple[int, int, int]] | np.ndarray,
     num_vertices: int,
     vertex_weights: Sequence[int] | None = None,
 ) -> Graph:
     """Build a symmetric compressed-adjacency graph from an undirected edge list.
 
-    Each entry is ``(u, v, weight)`` with ``u != v``. Duplicate edges (in either
-    orientation), self-loops, out-of-range ids, and non-positive weights are
-    rejected with ValueError.
+    Each entry is ``(u, v, weight)`` with ``u != v``; an ``(m, 3)`` integer
+    array is accepted as well. Duplicate edges (in either orientation),
+    self-loops, out-of-range ids, and non-positive weights are rejected with
+    ValueError, naming the first bad edge in input order.
     """
     if num_vertices < 0:
         raise ValueError("num_vertices must be non-negative")
@@ -164,49 +174,59 @@ def build_graph(
         if num_vertices and vwgt.min() < 1:
             raise ValueError("vertex weights must be >= 1")
 
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int, int]] = []
-    for u, v, w in edge_list:
-        u, v, w = int(u), int(v), int(w)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            raise ValueError(f"edge ({u}, {v}) references vertex out of range")
-        if w < 1:
-            raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        pairs.append((u, v, w))
+    if not isinstance(edge_list, np.ndarray):
+        edge_list = list(edge_list)
+    edges = np.asarray(edge_list, dtype=np.int64)
+    if edges.size == 0:
+        edges = edges.reshape(0, 3)  # [] and empty arrays of any shape
+    if edges.ndim != 2 or edges.shape[1] != 3:
+        raise ValueError("edges must be (u, v, weight) triples")
+    u, v, w = edges.T
+    _check_edges(u, v, w, num_vertices)
 
-    degrees = np.zeros(num_vertices, dtype=np.int64)
-    for u, v, _ in pairs:
-        degrees[u] += 1
-        degrees[v] += 1
+    # Each edge is stored from both ends; sorting by (source, neighbor) makes
+    # every adjacency run ascending, so traversal order is canonical.
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    order = np.lexsort((dst, src))
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    adj = np.zeros(offsets[-1], dtype=np.int64)
-    wgt = np.zeros(offsets[-1], dtype=np.int64)
-    cursor = offsets[:-1].copy()
-    for u, v, w in pairs:
-        adj[cursor[u]], wgt[cursor[u]] = v, w
-        cursor[u] += 1
-        adj[cursor[v]], wgt[cursor[v]] = u, w
-        cursor[v] += 1
-    # Sort each adjacency run by neighbor id so traversal order is canonical.
-    for v in range(num_vertices):
-        lo, hi = offsets[v], offsets[v + 1]
-        order = np.argsort(adj[lo:hi], kind="stable")
-        adj[lo:hi] = adj[lo:hi][order]
-        wgt[lo:hi] = wgt[lo:hi][order]
-    return Graph(offsets, adj, wgt, vwgt)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
+    return Graph(offsets, dst[order], np.concatenate([w, w])[order], vwgt)
+
+
+def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int) -> None:
+    """Raise for the first bad edge in input order.
+
+    Each edge is checked for a self-loop, then range, then weight, then for
+    repeating an earlier edge in either orientation.
+    """
+    m = len(u)
+    bad = (u == v) | (u < 0) | (u >= num_vertices) | (v < 0) | (v >= num_vertices) | (w < 1)
+    first_bad = int(np.argmax(bad)) if bad.any() else m
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))  # stable: a key's first occurrence leads its run
+    same = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    repeats = order[1:][same]
+    first_repeat = int(repeats.min()) if len(repeats) else m
+    # Every edge before first_bad is valid, so a repeat there repeats a valid edge.
+    i = min(first_bad, first_repeat)
+    if i == m:
+        return
+    a, b, c = int(u[i]), int(v[i]), int(w[i])
+    if a == b:
+        raise ValueError(f"self-loop at vertex {a}")
+    if not (0 <= a < num_vertices and 0 <= b < num_vertices):
+        raise ValueError(f"edge ({a}, {b}) references vertex out of range")
+    if c < 1:
+        raise ValueError(f"edge ({a}, {b}) has non-positive weight {c}")
+    raise ValueError(f"duplicate edge ({a}, {b})")
 
 
 def extract_subgraph(graph: Graph, vertex_set: Sequence[int]) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on ``vertex_set``; local ids follow the given order.
 
-    Returns the subgraph and the local-to-global id map.
+    Each local adjacency run keeps the order of the global one. Returns the
+    subgraph and the local-to-global id map.
     """
     local_to_global = np.asarray(vertex_set, dtype=np.int64)
     n_local = len(local_to_global)
@@ -218,19 +238,22 @@ def extract_subgraph(graph: Graph, vertex_set: Sequence[int]) -> tuple[Graph, np
     global_to_local = np.full(graph.num_vertices, -1, dtype=np.int64)
     global_to_local[local_to_global] = np.arange(n_local)
 
+    # Gather the selected rows back to back, then drop neighbors outside the set.
+    starts = graph.adjacency_offsets[local_to_global]
+    degrees = graph.adjacency_offsets[local_to_global + 1] - starts
+    gathered_starts = np.cumsum(degrees) - degrees
+    positions = np.repeat(starts - gathered_starts, degrees) + np.arange(int(degrees.sum()))
+    mapped = global_to_local[graph.adjacency_list[positions]]
+    keep = mapped >= 0
+    rows = np.repeat(np.arange(n_local), degrees)[keep]
     offsets = np.zeros(n_local + 1, dtype=np.int64)
-    adj_parts = []
-    wgt_parts = []
-    for local, g in enumerate(local_to_global):
-        nbrs = graph.neighbors(g)
-        mapped = global_to_local[nbrs]
-        keep = mapped >= 0
-        adj_parts.append(mapped[keep])
-        wgt_parts.append(graph.neighbor_weights(g)[keep])
-        offsets[local + 1] = offsets[local] + keep.sum()
-    adj = np.concatenate(adj_parts) if adj_parts else np.zeros(0, dtype=np.int64)
-    wgt = np.concatenate(wgt_parts) if wgt_parts else np.zeros(0, dtype=np.int64)
-    sub = Graph(offsets, adj, wgt, graph.vertex_weights[local_to_global])
+    np.cumsum(np.bincount(rows, minlength=n_local), out=offsets[1:])
+    sub = Graph(
+        offsets,
+        mapped[keep],
+        graph.edge_weights[positions[keep]],
+        graph.vertex_weights[local_to_global],
+    )
     return sub, local_to_global
 
 
@@ -279,7 +302,8 @@ def balance_stats(sizes: Sequence[int]) -> BalanceStats:
 # File formats.
 #
 # Graph file (classic adjacency format): first line "nv ne", then nv lines;
-# line i holds the neighbors of vertex i as 1-indexed ids. Partition file:
+# line i holds the neighbors of vertex i as 1-indexed ids (no weights: every
+# edge and vertex reads back with weight 1). Partition file:
 # one 0-indexed part id per line.
 # ---------------------------------------------------------------------------
 

@@ -65,18 +65,27 @@ def compute_splits(total_parts: int, group_size: int) -> SplitPlan:
         raise ValueError("total_parts and group_size must be >= 1")
     remainder = total_parts % group_size
     num_groups = total_parts // group_size + (1 if remainder else 0)
-    counts = np.full(num_groups, group_size, dtype=np.int64)
+    # A few cheap array calls: numpy's fixed per-call cost dominates on vectors
+    # this short. Python's int / int rounds exactly as float64 division does,
+    # so the weights equal counts / total_parts.
+    counts = np.empty(num_groups, dtype=np.int64)
+    counts.fill(group_size)
+    weights = np.empty(num_groups)
+    weights.fill(group_size / total_parts)
     if remainder:
         counts[0] = remainder
-    offsets = np.zeros(num_groups, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
+        weights[0] = remainder / total_parts
+        offsets = np.arange(remainder - group_size, total_parts, group_size, dtype=np.int64)
+        offsets[0] = 0
+    else:
+        offsets = np.arange(0, total_parts, group_size, dtype=np.int64)
     return SplitPlan(
         total_parts,
         group_size,
         num_groups,
         remainder,
         counts,
-        TargetWeights(counts / total_parts),
+        TargetWeights(weights),
         offsets,
     )
 

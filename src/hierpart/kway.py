@@ -112,14 +112,19 @@ def heavy_edge_match(g: Graph, seed: int, order: Sequence[int] | None = None) ->
         random.Random(seed).shuffle(visit)
     else:
         visit = [int(v) for v in order]
-    mates = np.arange(nv, dtype=np.int64)
+    # Sequential by contract (the visit order decides the matching), so it
+    # walks Python lists taken once from the CSR arrays.
+    offsets = g.adjacency_offsets.tolist()
+    adjacency = g.adjacency_list.tolist()
+    weights = g.edge_weights.tolist()
+    mates = list(range(nv))
     for v in visit:
         if mates[v] != v:
             continue
         best = -1
         best_w = 0
-        for u, w in zip(g.neighbors(v), g.neighbor_weights(v)):
-            u, w = int(u), int(w)
+        lo, hi = offsets[v], offsets[v + 1]
+        for u, w in zip(adjacency[lo:hi], weights[lo:hi]):
             if mates[u] != u or u == v:
                 continue
             if w > best_w or (w == best_w and (best == -1 or u < best)):
@@ -127,7 +132,7 @@ def heavy_edge_match(g: Graph, seed: int, order: Sequence[int] | None = None) ->
         if best >= 0:
             mates[v] = best
             mates[best] = v
-    return mates
+    return np.array(mates, dtype=np.int64)
 
 
 def coarsen(g: Graph, mates: Sequence[int]) -> CoarseningLevel:
@@ -142,27 +147,25 @@ def coarsen(g: Graph, mates: Sequence[int]) -> CoarseningLevel:
         raise ValueError("mates length must equal num_vertices")
     if nv and (mates.min() < 0 or mates.max() >= nv):
         raise ValueError("mate id out of range")
-    if np.any(mates[mates] != np.arange(nv)):
+    ids = np.arange(nv)
+    if np.any(mates[mates] != ids):
         raise ValueError("matching is not symmetric")
 
-    projection = np.full(nv, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(nv):
-        if v <= mates[v]:
-            projection[v] = next_id
-            projection[mates[v]] = next_id
-            next_id += 1
+    representative = ids <= mates
+    next_id = int(representative.sum())
+    projection = (np.cumsum(representative) - 1)[np.minimum(ids, mates)]
 
     coarse_vwgt = np.bincount(projection, weights=g.vertex_weights, minlength=next_id).astype(
         np.int64
     )
-    merged: dict[tuple[int, int], int] = {}
-    src = np.repeat(np.arange(nv), np.diff(g.adjacency_offsets))
-    for cu, cv, w in zip(projection[src], projection[g.adjacency_list], g.edge_weights):
-        if cu < cv:  # each undirected fine edge contributes once
-            key = (int(cu), int(cv))
-            merged[key] = merged.get(key, 0) + int(w)
-    edges = [(a, b, w) for (a, b), w in merged.items()]
+    # Each undirected fine edge contributes once (cu < cv); parallel edges
+    # between the same coarse pair merge by summing their weights.
+    src = np.repeat(ids, np.diff(g.adjacency_offsets))
+    cu, cv = projection[src], projection[g.adjacency_list]
+    forward = cu < cv
+    keys, inverse = np.unique(cu[forward] * next_id + cv[forward], return_inverse=True)
+    merged = np.bincount(inverse, weights=g.edge_weights[forward], minlength=len(keys))
+    edges = np.column_stack([keys // next_id, keys % next_id, merged.astype(np.int64)])
     return CoarseningLevel(build_graph(edges, next_id, coarse_vwgt), projection)
 
 

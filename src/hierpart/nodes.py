@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FileFormatError
 from .graph import Partition, build_graph
 from .kway import TargetWeights, derive_seed, partition_kway
-from .mesh import Mesh, interface_node_sets, node_to_parts, _element_sides
+from .mesh import Mesh, _node_parts, _pair_nodes, _shared_sides
 
 __all__ = [
     "NodeOwnership",
@@ -52,74 +52,77 @@ class NodeOwnership:
         return len(self.counts)
 
 
-def _interior_owner(mesh: Mesh, elem_partition: Partition) -> tuple[np.ndarray, list[set[int]]]:
-    """Owner array with single-rank nodes filled in, -1 elsewhere."""
-    attached = node_to_parts(mesh, elem_partition)
+def _interior_owner(
+    mesh: Mesh, elem_partition: Partition
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Owner array with single-rank nodes filled in, -1 elsewhere.
+
+    Also returns the ``(offsets, parts)`` node-to-ranks map it was built from.
+    """
+    offsets, parts = _node_parts(mesh, elem_partition)
     owner = np.full(mesh.num_nodes, -1, dtype=np.int64)
-    for n, parts in enumerate(attached):
-        if len(parts) == 1:
-            owner[n] = next(iter(parts))
-    return owner, attached
+    single = np.flatnonzero(np.diff(offsets) == 1)
+    owner[single] = parts[offsets[single]]
+    return owner, (offsets, parts)
 
 
 def _assign_multi_rank_greedy(
     owner: np.ndarray,
-    multi_rank: list[int],
-    attached: list[set[int]],
+    offsets: np.ndarray,
+    parts: np.ndarray,
     num_ranks: int,
 ) -> None:
-    """Give each many-rank node to its currently least-loaded incident rank.
+    """Give each node touching three or more ranks to its currently
+    least-loaded incident rank.
 
     Nodes are processed in id order; ties go to the lower rank. Mutates
     ``owner`` in place.
     """
-    counts = np.bincount(owner[owner >= 0], minlength=num_ranks)
-    for n in multi_rank:
-        ranks = sorted(attached[n])
-        pick = min(ranks, key=lambda r: (counts[r], r))
+    counts = np.bincount(owner[owner >= 0], minlength=num_ranks).tolist()
+    bounds, ranks = offsets.tolist(), parts.tolist()
+    for n in np.flatnonzero(np.diff(offsets) > 2).tolist():
+        pick = min(ranks[bounds[n]:bounds[n + 1]], key=lambda r: (counts[r], r))
         owner[n] = pick
         counts[pick] += 1
 
 
 def assign_lowest_rank(mesh: Mesh, elem_partition: Partition) -> NodeOwnership:
     """Every node goes to the minimum rank among its attached elements."""
-    attached = node_to_parts(mesh, elem_partition)
-    owner = np.fromiter((min(parts) for parts in attached), dtype=np.int64, count=mesh.num_nodes)
+    offsets, parts = _node_parts(mesh, elem_partition)
+    if np.any(offsets[1:] == offsets[:-1]):
+        # A node no element uses has no lowest rank; this is min() of nothing.
+        raise ValueError("min() arg is an empty sequence")
+    owner = parts[offsets[:-1]]  # each node's ranks are ascending
     return NodeOwnership.from_owner(owner, elem_partition.num_parts)
 
 
 def assign_parity(mesh: Mesh, elem_partition: Partition) -> NodeOwnership:
     """Split each pairwise interface by node-id parity: odd low, even high."""
-    owner, attached = _interior_owner(mesh, elem_partition)
-    pair_sets, multi_rank = interface_node_sets(mesh, elem_partition)
-    for (a, b), nodes in pair_sets.items():
-        for n in nodes:
-            owner[n] = a if n % 2 == 1 else b
-    _assign_multi_rank_greedy(owner, multi_rank, attached, elem_partition.num_parts)
+    owner, (offsets, parts) = _interior_owner(mesh, elem_partition)
+    a, b, nodes = _pair_nodes(offsets, parts)
+    owner[nodes] = np.where(nodes % 2 == 1, a, b)
+    _assign_multi_rank_greedy(owner, offsets, parts, elem_partition.num_parts)
     return NodeOwnership.from_owner(owner, elem_partition.num_parts)
 
 
-def _interface_edges(
-    mesh: Mesh, elem_partition: Partition
-) -> dict[tuple[int, int], set[tuple[int, int]]]:
-    """Node pairs co-occurring on an element side shared across each rank pair."""
-    side_map: dict[tuple[int, ...], int] = {}
-    edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for e in range(mesh.num_elements):
-        for key in _element_sides(mesh, e):
-            other = side_map.pop(key, None)
-            if other is None:
-                side_map[key] = e
-                continue
-            pa, pb = int(elem_partition.parts[other]), int(elem_partition.parts[e])
-            if pa == pb:
-                continue
-            pair = (pa, pb) if pa < pb else (pb, pa)
-            bucket = edges.setdefault(pair, set())
-            for i, n1 in enumerate(key):
-                for n2 in key[i + 1:]:
-                    bucket.add((n1, n2))
-    return edges
+def _interface_edges(mesh: Mesh, elem_partition: Partition) -> np.ndarray:
+    """Node pairs co-occurring on an element side shared across a rank pair.
+
+    Rows ``(a, b, n1, n2)`` with ranks a < b and nodes n1 < n2, unique and
+    sorted.
+    """
+    elem_a, elem_b, side_nodes = _shared_sides(mesh)
+    pa, pb = elem_partition.parts[elem_a], elem_partition.parts[elem_b]
+    cross = pa != pb
+    first, second = np.triu_indices(side_nodes.shape[1], 1)  # node pairs of one side
+    per_side = len(first)
+    rows = np.column_stack([
+        np.repeat(np.minimum(pa, pb)[cross], per_side),
+        np.repeat(np.maximum(pa, pb)[cross], per_side),
+        side_nodes[cross][:, first].ravel(),
+        side_nodes[cross][:, second].ravel(),
+    ])
+    return np.unique(rows, axis=0)
 
 
 def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int) -> NodeOwnership:
@@ -131,31 +134,35 @@ def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int)
     the smallest node id goes to the lower rank. A single-node interface goes
     to the lower rank outright.
     """
-    owner, attached = _interior_owner(mesh, elem_partition)
-    pair_sets, multi_rank = interface_node_sets(mesh, elem_partition)
-    all_edges = _interface_edges(mesh, elem_partition)
-    for (a, b), nodes in sorted(pair_sets.items()):
-        members = sorted(nodes)
+    owner, (offsets, parts) = _interior_owner(mesh, elem_partition)
+    a, b, nodes = _pair_nodes(offsets, parts)
+    edges = _interface_edges(mesh, elem_partition)
+    num_ranks = elem_partition.num_parts
+    edge_pairs = edges[:, 0] * num_ranks + edges[:, 1]
+    node_pairs = a * num_ranks + b
+    starts = np.flatnonzero(np.diff(node_pairs, prepend=-1))
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(nodes)]):
+        low, high = int(a[lo]), int(b[lo])
+        members = nodes[lo:hi]  # ascending
         if len(members) == 1:
-            owner[members[0]] = a
+            owner[members[0]] = low
             continue
-        local = {n: i for i, n in enumerate(members)}
-        edges = [
-            (local[n1], local[n2], 1)
-            for n1, n2 in all_edges.get((a, b), ())
-            if n1 in local and n2 in local  # multi-rank nodes sit outside the pair set
-        ]
+        # Keep the pair's edges whose ends are both members; nodes touching
+        # three or more ranks sit outside every pair.
+        pair = slice(*np.searchsorted(edge_pairs, [node_pairs[lo], node_pairs[lo] + 1]))
+        ends = np.searchsorted(members, edges[pair, 2:])
+        inside = np.all(members[np.minimum(ends, len(members) - 1)] == edges[pair, 2:], axis=1)
+        local = ends[inside]
         halves = partition_kway(
-            build_graph(edges, len(members)),
+            build_graph(np.column_stack([local, np.ones(len(local), dtype=np.int64)]), len(members)),
             2,
             TargetWeights.uniform(2),
-            derive_seed(seed, a, b),
+            derive_seed(seed, low, high),
         )
-        low_half = int(halves.parts[0])  # members[0] is the smallest node id
-        for n, i in local.items():
-            owner[n] = a if int(halves.parts[i]) == low_half else b
-    _assign_multi_rank_greedy(owner, multi_rank, attached, elem_partition.num_parts)
-    return NodeOwnership.from_owner(owner, elem_partition.num_parts)
+        low_half = halves.parts[0]  # members[0] is the smallest node id
+        owner[members] = np.where(halves.parts == low_half, low, high)
+    _assign_multi_rank_greedy(owner, offsets, parts, num_ranks)
+    return NodeOwnership.from_owner(owner, num_ranks)
 
 
 def node_ratio(ownership: NodeOwnership) -> float:

@@ -55,6 +55,44 @@ class TestHexGeneration:
         assert m.element_nodes[0].tolist() == [0, 1, 3, 2, 4, 5, 7, 6]
 
 
+def _loop_quad_elements(nx, ny):
+    """Element connectivity of generate_structured_quad, written as loops."""
+    elems = np.empty((nx * ny, 4), dtype=np.int64)
+    for j in range(ny):
+        for i in range(nx):
+            base = j * (nx + 1) + i
+            elems[j * nx + i] = (base, base + 1, base + nx + 2, base + nx + 1)
+    return elems
+
+
+def _loop_hex_elements(nx, ny, nz):
+    """Element connectivity of generate_structured_hex, written as loops."""
+    nxp, nyp = nx + 1, ny + 1
+    layer = nxp * nyp
+    elems = np.empty((nx * ny * nz, 8), dtype=np.int64)
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                base = k * layer + j * nxp + i
+                bottom = (base, base + 1, base + nxp + 1, base + nxp)
+                elems[(k * ny + j) * nx + i] = bottom + tuple(n + layer for n in bottom)
+    return elems
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (2, 5), (7, 4)])
+def test_quad_elements_match_loop(nx, ny):
+    got = generate_structured_quad(nx, ny).element_nodes
+    expected = _loop_quad_elements(nx, ny)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("nx,ny,nz", [(1, 1, 1), (2, 1, 1), (3, 2, 4), (2, 3, 2)])
+def test_hex_elements_match_loop(nx, ny, nz):
+    got = generate_structured_hex(nx, ny, nz).element_nodes
+    expected = _loop_hex_elements(nx, ny, nz)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def test_mesh_invariants_enforced():
     with pytest.raises(ValueError, match="out of range"):
         Mesh(2, [[0, 1, 2, 9]], [[0, 0], [1, 0], [1, 1]])
