@@ -354,8 +354,9 @@ def read_graph(path: str) -> Graph:
 
 
 def write_partition(partition: Partition, path: str) -> None:
+    text = "\n".join(map(str, partition.parts.tolist()))
     with open(path, "w") as fh:
-        fh.writelines(f"{int(p)}\n" for p in partition.parts)
+        fh.write(text + "\n" if text else "")
 
 
 def read_partition(path: str) -> Partition:

@@ -3,9 +3,10 @@
 The pipeline is the classic V-cycle: heavy-edge matching coarsens the graph
 until it is small, a greedy graph-growing pass bisects the coarsest level, and
 the bisection is projected back up with Fiduccia–Mattheyses refinement at
-every level. Refinement, rebalancing and count repair pick their moves through
-one exact gain-heap engine. k-way output comes from recursive bisection over a
-split of the target-weight vector.
+every level. Refinement, rebalancing and count repair all move vertices through
+one exact gain-heap engine, whose select-and-move step is the only move loop.
+k-way output comes from recursive bisection over a split of the target-weight
+vector.
 
 Everything here is deterministic for a fixed seed.
 """
@@ -236,15 +237,24 @@ def _compute_gains(g: Graph, parts: np.ndarray) -> np.ndarray:
 class _GainHeaps:
     """Exact best-move selection for two-way refinement and repair.
 
-    Vertices sit in one lazy-deletion heap per (side, vertex weight) class,
-    keyed ``(-gain, id)``, so the smallest live entry over a set of classes is
-    the highest-gain move among them, ties going to the lowest id. An entry is
-    live while its vertex is still on that side with that gain: every gain or
-    side change pushes a fresh entry, and stale ones are popped when they
-    surface. The callers' balance rules depend only on a vertex's side and
-    weight, so they admit or reject whole classes and no move scans the
-    vertices. Gain updates walk the moved vertex's neighbours through Python
-    lists taken once from the CSR arrays: O(degree · log n) per move.
+    Vertices sit in one lazy-deletion min-heap per (side, vertex weight)
+    class. An entry is the integer key ``-gain * n + id`` with
+    ``n = max(1, num_vertices)``; since ``0 <= id < n`` the keys order exactly
+    as ``(-gain, id)`` would, so the smallest live key over a set of classes is
+    the highest-gain move among them, ties going to the lowest id. A key
+    decodes as ``id = key % n`` and ``gain = -(key // n)``. An entry is live
+    while its vertex is still on that side with that gain: every gain or side
+    change pushes a fresh key, and stale ones are popped when they surface.
+
+    :attr:`heaps` maps each ``(side, weight)`` class to a ``(side, heap)``
+    pair. The callers' balance rules depend only on a vertex's side and
+    weight, so they admit or reject whole classes by passing a list of these
+    pairs to :meth:`step`, which moves the best admitted vertex; no move scans
+    the vertices. :meth:`load` refills the heap lists in place, so a list of
+    admitted pairs stays valid across loads and a caller may cache it. Gain
+    updates walk a per-vertex ``(neighbour, 2 * edge weight)`` list, built at
+    the vertex's first move and kept for the engine's life (rebalancing moves
+    few vertices, so it builds few): O(degree · log n) per move.
 
     The graph must be simple (no self-loops, no repeated neighbours), as
     :meth:`Graph.validate` requires.
@@ -252,75 +262,96 @@ class _GainHeaps:
 
     def __init__(self, g: Graph):
         self._graph = g
+        self._n = max(1, g.num_vertices)
         self._offsets = g.adjacency_offsets.tolist()
         self._adjacency = g.adjacency_list.tolist()
         self._double_weights = (2 * g.edge_weights).tolist()
+        self._neighbours: list[list[tuple[int, int]] | None] = [None] * g.num_vertices
         self.weights = g.vertex_weights.tolist()
         self.classes = sorted(set(self.weights))
+        self.heaps = {(s, w): (s, []) for s in (0, 1) for w in self.classes}
+        # Per side, each vertex's heap in that side's class for its weight.
+        self._homes = tuple(
+            list(map({w: self.heaps[s, w][1] for w in self.classes}.__getitem__, self.weights))
+            for s in (0, 1)
+        )
 
     def load(self, parts: np.ndarray) -> None:
-        """Start over from ``parts``: gains from scratch, every vertex unlocked."""
+        """Start over from ``parts``: gains from scratch, every vertex unlocked.
+
+        The heap lists are refilled in place, never replaced.
+        """
         gains = _compute_gains(self._graph, parts)
         self.parts = parts.tolist()
         self.gains = gains.tolist()
         self._locked = [False] * len(self.parts)
-        self._heaps = heaps = {(s, w): [] for s in (0, 1) for w in self.classes}
         # Sorted by (side, weight, -gain, id), each class is one run, and a
         # sorted run is already a heap. lexsort is stable, so ties keep id order.
         vw = self._graph.vertex_weights
         order = np.lexsort((-gains, vw, parts))
         side, weight = parts[order], vw[order]
+        ids, sorted_gains, n = order, gains[order], self._n
+        if len(gains) and n * (int(np.abs(gains).max()) + 1) >= 2**63:
+            # Keys past int64: build them as Python ints.
+            ids, sorted_gains = ids.astype(object), sorted_gains.astype(object)
+        keys = (ids - sorted_gains * n).tolist()
         starts = np.flatnonzero((np.diff(side) != 0) | (np.diff(weight) != 0)) + 1
-        entries = list(zip((-gains[order]).tolist(), order.tolist()))
-        bounds = [0, *starts.tolist(), len(order)] if len(order) else []
+        for _, heap in self.heaps.values():
+            heap.clear()
+        bounds = [0, *starts.tolist(), len(keys)] if keys else []
         for lo, hi in zip(bounds, bounds[1:]):
-            heaps[int(side[lo]), int(weight[lo])] = entries[lo:hi]
+            self.heaps[int(side[lo]), int(weight[lo])][1].extend(keys[lo:hi])
 
-    def best(self, classes: Iterable[tuple[int, int]]) -> int:
-        """Highest-gain vertex (tie: lowest id) in the given ``(side, weight)``
-        classes, or -1 if they are all empty."""
-        parts, gains, heaps, heappop = self.parts, self.gains, self._heaps, heapq.heappop
-        top = None
-        for key in classes:
-            heap = heaps[key]
-            side = key[0]
+    def step(self, cands: Iterable[tuple[int, list[int]]], lock: bool = False) -> int:
+        """Move the best vertex among the ``(side, heap)`` pairs ``cands``.
+
+        The highest-gain live vertex (tie: lowest id) flips to the other side,
+        the gains around it are updated, and its id is returned; -1 means the
+        candidates held no live entry and nothing moved. A locked vertex gets no
+        heap entries until the next :meth:`load`, so it cannot be picked
+        again; its old entries are stale by side.
+        """
+        n, parts, gains, heappop = self._n, self.parts, self.gains, heapq.heappop
+        top = -1
+        for side, heap in cands:
             while heap:
-                neg, v = entry = heap[0]
-                if parts[v] == side and gains[v] == -neg:
-                    if top is None or entry < top:
-                        top = entry
+                key = heap[0]
+                v = key % n
+                if parts[v] == side and key == v - gains[v] * n:
+                    if top < 0 or key < best:
+                        top, best = v, key
                     break
                 heappop(heap)
-        return -1 if top is None else top[1]
-
-    def move(self, v: int, lock: bool = False) -> None:
-        """Flip ``v`` to the other side and update the gains around it.
-
-        A locked vertex gets no heap entries until the next :meth:`load`, so
-        it cannot be picked again; its old entries are stale by side.
-        """
-        parts, gains, heaps, weights, locked = (
-            self.parts, self.gains, self._heaps, self.weights, self._locked
-        )
-        heappush = heapq.heappush
+        if top < 0:
+            return -1
+        v, locked, heappush = top, self._locked, heapq.heappush
         side = parts[v] ^ 1
         parts[v] = side
-        gains[v] = -gains[v]
+        gain = gains[v] = -gains[v]
+        beside, behind = self._homes[side], self._homes[side ^ 1]
         if lock:
             locked[v] = True
         else:
-            heappush(heaps[side, weights[v]], (-gains[v], v))
-        lo, hi = self._offsets[v], self._offsets[v + 1]
-        for u, dw in zip(self._adjacency[lo:hi], self._double_weights[lo:hi]):
+            heappush(beside[v], v - gain * n)
+        neighbours = self._neighbours[v]
+        if neighbours is None:
+            lo, hi = self._offsets[v], self._offsets[v + 1]
+            neighbours = self._neighbours[v] = list(
+                zip(self._adjacency[lo:hi], self._double_weights[lo:hi])
+            )
+        for u, dw in neighbours:
             # The edge to v flips internal<->external: a neighbour now beside
             # v loses the incentive to move (the edge would re-cut), one left
             # behind gains it.
             if parts[u] == side:
-                gains[u] -= dw
+                gain = gains[u] = gains[u] - dw
+                home = beside[u]
             else:
-                gains[u] += dw
+                gain = gains[u] = gains[u] + dw
+                home = behind[u]
             if not locked[u]:
-                heappush(heaps[parts[u], weights[u]], (-gains[u], u))
+                heappush(home, u - gain * n)
+        return v
 
 
 def fm_refine(
@@ -336,10 +367,13 @@ def fm_refine(
     once; each move keeps part 0's weight within ``imbalance_tol`` of target).
     Every vertex not yet moved in the pass whose weight fits the window is a
     candidate, not only boundary vertices; the highest-gain candidate moves
-    (tie: lower vertex id), found through per-(side, weight) gain heaps. The
-    pass then rolls back to the best prefix — lowest cut, then smallest weight
-    deviation, then shortest. Passes repeat until the cut stops improving or
-    ``max_passes`` is reached. The returned cut never exceeds the input cut.
+    (tie: lower vertex id). Each move is one :meth:`_GainHeaps.step` over the
+    (side, weight) heap classes that the current part 0 weight admits; the
+    admitted classes are cached per part 0 weight for the whole call. The
+    pass then rolls back to the best prefix — lowest cut, then smallest
+    weight deviation, then shortest. Passes repeat until the cut stops
+    improving or ``max_passes`` is reached. The returned cut never exceeds
+    the input cut.
 
     If the input itself sits outside the balance window, it is returned
     unchanged and a :class:`BalanceWindowWarning` is emitted.
@@ -366,8 +400,12 @@ def fm_refine(
         return Partition(parts, 2)
 
     heaps = _GainHeaps(g)
-    weights, classes = heaps.weights, heaps.classes
+    weights, classes, by_class = heaps.weights, heaps.classes, heaps.heaps
     limit = window + eps
+    # Moving a vertex off side 0 shifts w0 by -w; off side 1 by +w. Whether
+    # that stays in the window depends only on the side, the weight and w0,
+    # so the admitted classes are worked out once per w0 for the whole call.
+    admitted: dict[int, list[tuple[int, list[int]]]] = {}
     cut = edge_cut(g, Partition(parts, 2))
     for _ in range(max_passes):
         pass_start_cut = cut
@@ -375,26 +413,28 @@ def fm_refine(
         side_of, gains = heaps.parts, heaps.gains
         trail: list[int] = []
         cur_cut, cur_w0 = cut, w0
-        best = (cut, abs(w0 - target), 0)  # (cut, deviation, prefix length)
+        best_cut, best_dev, best_len = cut, abs(w0 - target), 0
         while True:
-            # Moving v off side 0 shifts w0 by -w; off side 1 by +w. Whether
-            # that stays in the window depends only on the side and weight.
-            movable = [(0, w) for w in classes if abs((cur_w0 - w) - target) <= limit]
-            movable += [(1, w) for w in classes if abs((cur_w0 + w) - target) <= limit]
-            v = heaps.best(movable)
+            cands = admitted.get(cur_w0)
+            if cands is None:
+                cands = admitted[cur_w0] = [
+                    by_class[0, w] for w in classes if abs((cur_w0 - w) - target) <= limit
+                ] + [by_class[1, w] for w in classes if abs((cur_w0 + w) - target) <= limit]
+            v = heaps.step(cands, lock=True)
             if v < 0:
                 break
-            cur_cut -= gains[v]
-            cur_w0 += weights[v] if side_of[v] == 1 else -weights[v]
-            heaps.move(v, lock=True)
+            cur_cut += gains[v]  # the move negated v's gain: the cut fell by the old one
+            cur_w0 += weights[v] if side_of[v] == 0 else -weights[v]
             trail.append(v)
-            state = (cur_cut, abs(cur_w0 - target), len(trail))
-            if state[:2] < best[:2]:
-                best = state
-        for v in reversed(trail[best[2]:]):  # roll back past the best prefix
+            # Best prefix: lowest cut, then smallest deviation, then shortest.
+            if cur_cut <= best_cut:
+                dev = abs(cur_w0 - target)
+                if cur_cut < best_cut or dev < best_dev:
+                    best_cut, best_dev, best_len = cur_cut, dev, len(trail)
+        for v in reversed(trail[best_len:]):  # roll back past the best prefix
             side_of[v] ^= 1
         parts = np.array(side_of, dtype=np.int64)
-        cut = best[0]
+        cut = best_cut
         w0 = int(vw[parts == 0].sum())
         if cut >= pass_start_cut:
             break
@@ -417,11 +457,10 @@ def _rebalance(
     while True:
         dev = abs(w0 - target)
         heavy = 0 if w0 > target else 1
-        v = heaps.best([(heavy, w) for w in heaps.classes if w < 2 * dev])
+        v = heaps.step([heaps.heaps[heavy, w] for w in heaps.classes if w < 2 * dev])
         if v < 0:
             break
         w0 += heaps.weights[v] if heavy == 1 else -heaps.weights[v]
-        heaps.move(v)
     parts[:] = heaps.parts
     return parts
 
@@ -437,9 +476,9 @@ def _repair_counts(
     heaps.load(parts)
     for side in (0, 1):
         other = 1 - side
-        donors = [(other, w) for w in heaps.classes]
+        donors = [heaps.heaps[other, w] for w in heaps.classes]
         while counts[side] < min_counts[side]:
-            heaps.move(heaps.best(donors))
+            heaps.step(donors)
             counts[side] += 1
             counts[other] -= 1
     parts[:] = heaps.parts

@@ -209,10 +209,8 @@ def interface_node_sets(
 
 def write_mesh(mesh: Mesh, path: str) -> None:
     lines = [f"{mesh.dim} {mesh.num_nodes} {mesh.num_elements}"]
-    for coord in mesh.node_coords:
-        lines.append(" ".join(repr(float(c)) for c in coord))
-    for nodes in mesh.element_nodes:
-        lines.append(" ".join(str(int(n)) for n in nodes))
+    lines += [" ".join(map(repr, coord)) for coord in mesh.node_coords.tolist()]
+    lines += [" ".join(map(str, nodes)) for nodes in mesh.element_nodes.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -186,8 +186,9 @@ def node_ratio(ownership: NodeOwnership) -> float:
 
 
 def write_ownership(ownership: NodeOwnership, path: str) -> None:
+    text = "\n".join(map(str, ownership.owner.tolist()))
     with open(path, "w") as fh:
-        fh.writelines(f"{int(r)}\n" for r in ownership.owner)
+        fh.write(text + "\n" if text else "")
 
 
 def read_ownership(path: str, num_ranks: int | None = None) -> NodeOwnership:

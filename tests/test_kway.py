@@ -18,12 +18,13 @@ from hierpart import (
     dual_graph,
     edge_cut,
     fm_refine,
+    generate_structured_hex,
     generate_structured_quad,
     heavy_edge_match,
     initial_bisection,
     partition_kway,
 )
-from hierpart.kway import _compute_gains, _rebalance, _repair_counts
+from hierpart.kway import _compute_gains, _GainHeaps, _rebalance, _repair_counts
 
 
 def test_target_weights_validation():
@@ -340,6 +341,76 @@ class TestGainHeapEngine:
         got = _repair_counts(g, p.parts.copy(), mins)
         assert got.tobytes() == expected.tobytes()
         assert (got == 0).sum() >= mins[0] and (got == 1).sum() >= mins[1]
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_mesh_graphs_match_scan(self, seed):
+        """Mesh dual graphs, or one coarsening level of them (vertex weights 1-2,
+        edge weights 1-2), with starts from random sides or graph growing."""
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            mesh = generate_structured_quad(rng.randint(6, 20), rng.randint(6, 20))
+        else:
+            mesh = generate_structured_hex(*(rng.randint(3, 6) for _ in range(3)))
+        g = dual_graph(mesh)
+        if rng.random() < 0.5:
+            g = coarsen(g, heavy_edge_match(g, seed=seed)).graph
+        nv, total = g.num_vertices, g.total_vertex_weight
+        if rng.random() < 0.5:
+            p = random_two_sided(rng, nv)
+        else:
+            p = initial_bisection(g, rng.uniform(0.2, 0.8), seed=seed)
+        w0 = int(g.vertex_weights[p.parts == 0].sum())
+        target = w0 / total if rng.random() < 0.75 else rng.uniform(0.2, 0.8)
+        tol = rng.choice([0.0, rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.5)])
+        passes = rng.choice([1, 10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BalanceWindowWarning)
+            expected = _scan_fm_refine(g, p, target, tol, passes)
+            got = fm_refine(g, p, target, tol, passes)
+        assert got.parts.tobytes() == expected.parts.tobytes()
+
+        expected = _scan_rebalance(g, p.parts.copy(), target)
+        assert _rebalance(g, p.parts.copy(), target).tobytes() == expected.tobytes()
+
+        need0 = rng.randint(1, nv - 1)
+        mins = (need0, rng.randint(1, nv - need0))
+        expected = _scan_repair_counts(g, p.parts.copy(), mins)
+        assert _repair_counts(g, p.parts.copy(), mins).tobytes() == expected.tobytes()
+
+    def test_keys_past_int64_keep_every_choice(self):
+        """Scaling every edge weight by 2**50 scales every gain and cut alike, so
+        no choice may change, although gain * num_vertices now exceeds int64."""
+        rng = random.Random(5)
+        unit = dual_graph(generate_structured_quad(32, 32))
+        src = np.repeat(np.arange(unit.num_vertices), np.diff(unit.adjacency_offsets))
+        upper = src < unit.adjacency_list
+        weights = [rng.randint(1, 3) for _ in range(int(upper.sum()))]
+        edges = np.column_stack([src[upper], unit.adjacency_list[upper], weights])
+        small = build_graph(edges, unit.num_vertices)
+        edges[:, 2] <<= 50
+        big = build_graph(edges, unit.num_vertices)
+        p = random_two_sided(rng, unit.num_vertices)
+        assert big.num_vertices * int(np.abs(_compute_gains(big, p.parts)).max()) >= 2**63
+        w0 = int(big.vertex_weights[p.parts == 0].sum())
+        target = w0 / big.total_vertex_weight
+        assert np.array_equal(
+            fm_refine(big, p, target, 0.05).parts, fm_refine(small, p, target, 0.05).parts
+        )
+        assert np.array_equal(
+            _rebalance(big, p.parts.copy(), 0.3), _rebalance(small, p.parts.copy(), 0.3)
+        )
+        mins = (900, 100)
+        assert np.array_equal(
+            _repair_counts(big, p.parts.copy(), mins), _repair_counts(small, p.parts.copy(), mins)
+        )
+
+    def test_step_on_empty_candidates_moves_nothing(self, path4):
+        heaps = _GainHeaps(path4)
+        heaps.load(np.array([0, 0, 1, 1]))
+        assert heaps.step([]) == -1
+        assert heaps.step([heaps.heaps[0, 1]], lock=True) == 1  # gains 0 at ids 1, 2
+        assert heaps.parts == [0, 1, 1, 1] and heaps.gains == [1, 0, -2, -1]
 
 
 class TestPartitionKway:

@@ -2,10 +2,12 @@
 
 Each ``_loop_*`` function below is the earlier per-vertex / per-element Python
 implementation, kept verbatim (apart from its name and the names it calls) as
-an independent reference. Every test asserts identical arrays, or the
-identical exception type and message, on random and malformed inputs.
+an independent reference. Every test asserts identical arrays, identical file
+bytes, or the identical exception type and message, on random and malformed
+inputs.
 """
 
+import math
 import os
 import random
 import tempfile
@@ -34,6 +36,7 @@ from hierpart import (
     partition_kway,
     read_mesh,
     write_mesh,
+    write_partition,
 )
 from hierpart import mesh as mesh_module
 from hierpart.mesh import _QUAD_SIDES, _HEX_SIDES, node_to_parts
@@ -43,6 +46,7 @@ from hierpart.nodes import (
     assign_interface_partition,
     assign_lowest_rank,
     assign_parity,
+    write_ownership,
 )
 
 
@@ -337,6 +341,26 @@ def _loop_read_mesh(path):
             return Mesh(dim, elems, coords)
     except ValueError as exc:
         raise FileFormatError(path, 1, str(exc)) from None
+
+
+def _loop_write_mesh(mesh, path):
+    lines = [f"{mesh.dim} {mesh.num_nodes} {mesh.num_elements}"]
+    for coord in mesh.node_coords:
+        lines.append(" ".join(repr(float(c)) for c in coord))
+    for nodes in mesh.element_nodes:
+        lines.append(" ".join(str(int(n)) for n in nodes))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _loop_write_partition(partition, path):
+    with open(path, "w") as fh:
+        fh.writelines(f"{int(p)}\n" for p in partition.parts)
+
+
+def _loop_write_ownership(ownership, path):
+    with open(path, "w") as fh:
+        fh.writelines(f"{int(r)}\n" for r in ownership.owner)
 
 
 def _loop_mesh_post_init(self):
@@ -727,3 +751,45 @@ def _same_mesh_outcome(expected, got):
         assert got.dim == expected.dim
         assert got.element_nodes.tobytes() == expected.element_nodes.tobytes()
         assert got.node_coords.tobytes() == expected.node_coords.tobytes()
+
+
+_ODD_FLOATS = [0.0, -0.0, 1.0, -3.0, 0.1, 1e-300, 5e-324, 1.7976931348623157e308, 1e16, 1e22]
+
+
+def _random_float(rng):
+    kind = rng.random()
+    if kind < 0.4:
+        return rng.choice(_ODD_FLOATS + [math.nan, math.inf, -math.inf])
+    if kind < 0.7:
+        return float(rng.randint(-1000, 1000))
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+
+
+def _random_ids(rng):
+    top = rng.choice([1, 10, 2**31, 2**62])
+    return np.array([rng.randrange(top) for _ in range(rng.randint(0, 40))], dtype=np.int64)
+
+
+class TestWriters:
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_writers_match_loop(self, seed):
+        rng = random.Random(seed)
+        shape = _random_mesh(rng)
+        coords = [_random_float(rng) for _ in range(shape.node_coords.size)]
+        mesh = Mesh(shape.dim, shape.element_nodes, np.reshape(coords, shape.node_coords.shape))
+        ids = _random_ids(rng)
+        partition = Partition(ids, int(ids.max()) + 1 if len(ids) else 1)
+        ownership = NodeOwnership(ids, [len(ids)])
+        cases = [
+            (_loop_write_mesh, write_mesh, mesh),
+            (_loop_write_partition, write_partition, partition),
+            (_loop_write_ownership, write_ownership, ownership),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            for loop_writer, writer, value in cases:
+                paths = os.path.join(tmp, "loop.txt"), os.path.join(tmp, "new.txt")
+                loop_writer(value, paths[0])
+                writer(value, paths[1])
+                with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+                    assert a.read() == b.read()
