@@ -21,7 +21,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,43 +48,13 @@ from .nodes import (
     write_ownership,
 )
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 _STRATEGIES = {
     "lowest-rank": lambda mesh, parts, seed: assign_lowest_rank(mesh, parts),
     "parity": lambda mesh, parts, seed: assign_parity(mesh, parts),
     "interface": assign_interface_partition,
 }
-
-
-@dataclass
-class RunConfig:
-    """Everything one CLI invocation needs, normalized from the parsed flags."""
-
-    command: str
-    mesh: str | None = None
-    graph: str | None = None
-    elem_part: str | None = None
-    node_part: str | None = None
-    out: str | None = None
-    np: int = 1
-    np2: int = 1
-    method: str = "hierarch"
-    node_strategy: str = "lowest-rank"
-    seed: int = 0
-    imbalance_tol: float = 0.03
-    fmt: str = "text"
-    nx: int = 1
-    ny: int = 1
-    nz: int | None = None
-
-    def __post_init__(self):
-        if self.np < 1 or self.np2 < 1:
-            raise ValueError("--np and --np2 must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("--seed must fit in 64 bits")
-        if not (math.isfinite(self.imbalance_tol) and self.imbalance_tol >= 0):
-            raise ValueError(f"--tol must be a finite number >= 0, got {self.imbalance_tol}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,25 +107,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        mesh=getattr(args, "mesh", None),
-        graph=getattr(args, "graph", None),
-        elem_part=getattr(args, "elem_part", None),
-        node_part=getattr(args, "node_part", None),
-        out=getattr(args, "out", None),
-        np=getattr(args, "np", 1),
-        np2=getattr(args, "np2", 1),
-        method=getattr(args, "method", "hierarch"),
-        node_strategy=getattr(args, "node_strategy", "lowest-rank"),
-        seed=getattr(args, "seed", 0),
-        imbalance_tol=getattr(args, "tol", 0.03),
-        fmt=getattr(args, "format", "text"),
-        nx=getattr(args, "nx", 1),
-        ny=getattr(args, "ny", 1),
-        nz=getattr(args, "nz", None),
-    )
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject out-of-range numeric flags before a command reads or writes anything."""
+    if getattr(args, "np", 1) < 1 or getattr(args, "np2", 1) < 1:
+        raise ValueError("--np and --np2 must be >= 1")
+    if not (0 <= getattr(args, "seed", 0) < 2**64):
+        raise ValueError("--seed must fit in 64 bits")
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -173,47 +132,41 @@ def _require(value: str | None, flag: str) -> str:
     return value
 
 
-def _load_graph(config: RunConfig) -> Graph:
-    if (config.graph is None) == (config.mesh is None):
+def _load_graph(args: argparse.Namespace) -> Graph:
+    if (args.graph is None) == (args.mesh is None):
         raise ValueError("exactly one of --graph or --mesh is required")
-    if config.graph is not None:
-        return read_graph(config.graph)
-    return dual_graph(read_mesh(config.mesh))
+    if args.graph is not None:
+        return read_graph(args.graph)
+    return dual_graph(read_mesh(args.mesh))
 
 
-def _compute_partition(graph: Graph, config: RunConfig) -> Partition:
-    if config.method == "hierarch":
-        return hierarchical_partition(
-            graph, config.np, config.np2, config.seed, imbalance_tol=config.imbalance_tol
-        )
+def _compute_partition(graph: Graph, args: argparse.Namespace, method: str) -> Partition:
+    if method == "hierarch":
+        return hierarchical_partition(graph, args.np, args.np2, args.seed, imbalance_tol=args.tol)
     return partition_kway(
-        graph,
-        config.np,
-        TargetWeights.uniform(config.np),
-        config.seed,
-        imbalance_tol=config.imbalance_tol,
+        graph, args.np, TargetWeights.uniform(args.np), args.seed, imbalance_tol=args.tol
     )
 
 
-def run_gen_mesh(config: RunConfig) -> None:
-    if config.nz is None:
-        mesh = generate_structured_quad(config.nx, config.ny)
+def run_gen_mesh(args: argparse.Namespace) -> None:
+    if args.nz is None:
+        mesh = generate_structured_quad(args.nx, args.ny)
     else:
-        mesh = generate_structured_hex(config.nx, config.ny, config.nz)
-    write_mesh(mesh, _require(config.out, "--out"))
+        mesh = generate_structured_hex(args.nx, args.ny, args.nz)
+    write_mesh(mesh, _require(args.out, "--out"))
 
 
-def run_partition(config: RunConfig) -> None:
+def run_partition(args: argparse.Namespace) -> None:
     started = time.perf_counter()
-    graph = _load_graph(config)
-    partition = _compute_partition(graph, config)
-    write_partition(partition, _require(config.out, "--out"))
+    graph = _load_graph(args)
+    partition = _compute_partition(graph, args, args.method)
+    write_partition(partition, _require(args.out, "--out"))
     elapsed = time.perf_counter() - started
 
     sizes = partition.part_sizes()
     stats = balance_stats(sizes)
     cut = edge_cut(graph, partition)
-    if config.fmt == "csv":
+    if args.format == "csv":
         sys.stdout.write("edge_cut,num_parts,max_size,min_size,max_over_avg,max_over_min,wall_s\n")
         sys.stdout.write(
             f"{cut},{partition.num_parts},{stats.max},{stats.min},"
@@ -229,16 +182,16 @@ def run_partition(config: RunConfig) -> None:
         )
 
 
-def run_assign_nodes(config: RunConfig) -> None:
-    mesh = read_mesh(_require(config.mesh, "--mesh"))
-    partition = read_partition(_require(config.elem_part, "--elem-part"))
+def run_assign_nodes(args: argparse.Namespace) -> None:
+    mesh = read_mesh(_require(args.mesh, "--mesh"))
+    partition = read_partition(_require(args.elem_part, "--elem-part"))
     if len(partition.parts) != mesh.num_elements:
         raise ValueError(
-            f"{config.elem_part} has {len(partition.parts)} entries but "
-            f"{config.mesh} has {mesh.num_elements} elements"
+            f"{args.elem_part} has {len(partition.parts)} entries but "
+            f"{args.mesh} has {mesh.num_elements} elements"
         )
-    ownership = _STRATEGIES[config.node_strategy](mesh, partition, config.seed)
-    write_ownership(ownership, _require(config.out, "--out"))
+    ownership = _STRATEGIES[args.node_strategy](mesh, partition, args.seed)
+    write_ownership(ownership, _require(args.out, "--out"))
 
 
 def _report_rows(
@@ -282,19 +235,19 @@ def _format_table(header: list[str], rows: list[tuple], footer: list[str]) -> st
     return "\n".join(lines + footer) + "\n"
 
 
-def run_report(config: RunConfig) -> None:
+def run_report(args: argparse.Namespace) -> None:
     rows, global_cut, ratio, elem_ratio = _report_rows(
-        _require(config.mesh, "--mesh"),
-        _require(config.elem_part, "--elem-part"),
-        _require(config.node_part, "--node-part"),
+        _require(args.mesh, "--mesh"),
+        _require(args.elem_part, "--elem-part"),
+        _require(args.node_part, "--node-part"),
     )
-    if config.fmt == "csv":
+    if args.format == "csv":
         lines = ["pid,elems,nodes,edge_cuts,global_edge_cut,node_ratio,elem_ratio"]
         lines += [
             f"{pid},{e},{n},{c},{global_cut},{ratio:.6f},{elem_ratio:.6f}"
             for pid, e, n, c in rows
         ]
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(
             _format_table(
@@ -306,49 +259,39 @@ def run_report(config: RunConfig) -> None:
                     f"elem max/min:  {elem_ratio:.6f}",
                 ],
             ),
-            config.out,
+            args.out,
         )
 
 
-def run_compare(config: RunConfig) -> None:
-    mesh = read_mesh(_require(config.mesh, "--mesh"))
+def run_compare(args: argparse.Namespace) -> None:
+    mesh = read_mesh(_require(args.mesh, "--mesh"))
     graph = dual_graph(mesh)
     rows = []
     for method in ("hierarch", "flat"):
-        partition = _compute_partition(
-            graph,
-            RunConfig(
-                command="partition",
-                np=config.np,
-                np2=config.np2,
-                method=method,
-                seed=config.seed,
-                imbalance_tol=config.imbalance_tol,
-            ),
-        )
+        partition = _compute_partition(graph, args, method)
         cut = edge_cut(graph, partition)
         elem_ratio = balance_stats(partition.part_sizes()).max_over_min
         for strategy in sorted(_STRATEGIES):
-            ownership = _STRATEGIES[strategy](mesh, partition, config.seed)
+            ownership = _STRATEGIES[strategy](mesh, partition, args.seed)
             rows.append(
                 (
                     method,
                     strategy,
-                    config.np,
-                    config.np2,
-                    config.seed,
+                    args.np,
+                    args.np2,
+                    args.seed,
                     cut,
                     node_ratio(ownership),
                     elem_ratio,
                 )
             )
-    if config.fmt == "csv":
+    if args.format == "csv":
         lines = ["method,node_strategy,np,np2,seed,edge_cut,node_ratio,elem_ratio"]
         lines += [
             f"{m},{s},{n},{n2},{sd},{c},{nr:.6f},{er:.6f}"
             for m, s, n, n2, sd, c, nr, er in rows
         ]
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(
             _format_table(
@@ -359,7 +302,7 @@ def run_compare(config: RunConfig) -> None:
                 ],
                 [],
             ),
-            config.out,
+            args.out,
         )
 
 
@@ -375,19 +318,13 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](_config_from_args(args))
-    except FileFormatError as exc:
+        _check_flags(args)
+        _COMMANDS[args.command](args)
+    except (OSError, InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (FileFormatError, OSError)):
+            return 4
+        return 3 if isinstance(exc, InfeasibleError) else 2
     return 0
 
 

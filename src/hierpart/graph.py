@@ -359,21 +359,39 @@ def write_partition(partition: Partition, path: str) -> None:
         fh.write(text + "\n" if text else "")
 
 
-def read_partition(path: str) -> Partition:
-    parts = []
+def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
+    """The non-negative ids of a one-id-per-line file, blank lines skipped.
+
+    Lines are split as iterating over the file splits them, and each line is
+    stripped before ``int`` converts it. The whole file is converted in one
+    pass; only a file that fails is walked line by line to name its first bad
+    line. ``kind`` names the file and ``what`` its ids in error messages.
+    """
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        lines = fh.read().split("\n")
+    tokens = [token for token in map(str.strip, lines) if token]
+    try:
+        ids = np.fromiter(map(int, tokens), np.int64, len(tokens))
+    except (ValueError, OverflowError):  # OverflowError: an id past int64
+        ids = None
+    if ids is None or (len(ids) and ids.min() < 0):
+        for lineno, line in enumerate(lines, start=1):
             token = line.strip()
             if not token:
                 continue
             try:
                 value = int(token)
             except ValueError:
-                raise FileFormatError(path, lineno, f"bad part id {token!r}") from None
+                raise FileFormatError(path, lineno, f"bad {what} id {token!r}") from None
             if value < 0:
-                raise FileFormatError(path, lineno, f"negative part id {value}")
-            parts.append(value)
-    if not parts:
-        raise FileFormatError(path, 1, "empty partition file")
-    arr = np.asarray(parts, dtype=np.int64)
-    return Partition(arr, int(arr.max()) + 1)
+                raise FileFormatError(path, lineno, f"negative {what} id {value}")
+            if value >= 2**63:
+                raise FileFormatError(path, lineno, f"{what} id {value} does not fit in 64 bits")
+    if not len(ids):
+        raise FileFormatError(path, 1, f"empty {kind} file")
+    return ids
+
+
+def read_partition(path: str) -> Partition:
+    parts = _read_ids(path, "partition", "part")
+    return Partition(parts, int(parts.max()) + 1)

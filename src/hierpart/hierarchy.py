@@ -100,10 +100,6 @@ class RankLayout:
     def __post_init__(self):
         self.chunk_bounds = np.asarray(self.chunk_bounds, dtype=np.int64)
 
-    def owned(self, rank: int) -> range:
-        start, end = self.chunk_bounds[rank]
-        return range(int(start), int(end))
-
     def owner_of(self, vertex: int) -> int:
         return int(np.searchsorted(self.chunk_bounds[:, 1], vertex, side="right"))
 

@@ -537,7 +537,6 @@ def _multilevel_bisect(
         cand = init.parts.copy()
         if cand.min() == cand.max():  # growth swallowed everything; peel one back
             cand[np.argmax(coarsest.vertex_weights == coarsest.vertex_weights.min())] = 1
-            cand = _rebalance(coarsest, cand, target_fraction)
         cand = _rebalance(coarsest, cand, target_fraction)
         cand = _fm_safe(coarsest, cand, target_fraction, tol)
         key = (

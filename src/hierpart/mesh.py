@@ -223,56 +223,40 @@ def write_mesh(mesh: Mesh, path: str) -> None:
 _BLOCK_LINES = 1024
 
 
-def _parse_coords(path: str, raw: list[str], coords: np.ndarray, lo: int, hi: int) -> None:
-    """Fill ``coords[lo:hi]`` from the coordinate lines of nodes lo..hi-1."""
-    dim = coords.shape[1]
-    rows = [line.split() for line in raw[1 + lo:1 + hi]]
-    if len(rows) == hi - lo and set(map(len, rows)) == {dim}:
-        try:
-            values = np.fromiter(map(float, chain.from_iterable(rows)), np.float64)
-        except ValueError:
-            pass
-        else:
-            coords[lo:hi] = values.reshape(-1, dim)
-            return
-    for i in range(lo, hi):
-        lineno = i + 2
-        tokens = raw[i + 1].split()
-        if len(tokens) != dim:
-            raise FileFormatError(path, lineno, f"expected {dim} coordinates")
-        try:
-            coords[i] = [float(t) for t in tokens]
-        except ValueError:
-            raise FileFormatError(path, lineno, "bad coordinate value") from None
-
-
-def _parse_elements(
-    path: str, raw: list[str], elems: np.ndarray, nn: int, lo: int, hi: int
+def _parse_rows(
+    path: str, raw: list[str], first: int, out: np.ndarray, convert, what: str, bad: str,
+    bound: int | None = None,
 ) -> None:
-    """Fill ``elems[lo:hi]`` from the node-id lines of elements lo..hi-1."""
-    nodes_per_elem = elems.shape[1]
-    rows = [line.split() for line in raw[1 + nn + lo:1 + nn + hi]]
-    if len(rows) == hi - lo and set(map(len, rows)) == {nodes_per_elem}:
+    """Fill the rows of ``out`` from lines ``raw[first:first + len(out)]``.
+
+    Each line must hold ``out.shape[1]`` tokens (else "expected {width} {what}")
+    that ``convert`` accepts (else ``bad``) and, when ``bound`` is given, that
+    lie in ``[0, bound)``.
+    """
+    width = out.shape[1]
+    lines = raw[first:first + len(out)]
+    rows = [line.split() for line in lines]
+    if set(map(len, rows)) == {width}:
         try:
-            ids = np.fromiter(map(int, chain.from_iterable(rows)), np.int64)
+            values = np.fromiter(map(convert, chain.from_iterable(rows)), out.dtype)
         except (ValueError, OverflowError):  # OverflowError: beyond int64, so out of range
             pass
         else:
-            if ids.min() >= 0 and ids.max() < nn:
-                elems[lo:hi] = ids.reshape(-1, nodes_per_elem)
+            if bound is None or (values.min() >= 0 and values.max() < bound):
+                out[:] = values.reshape(-1, width)
                 return
-    for e in range(lo, hi):
-        lineno = 1 + nn + e + 1
-        tokens = raw[1 + nn + e].split()
-        if len(tokens) != nodes_per_elem:
-            raise FileFormatError(path, lineno, f"expected {nodes_per_elem} node ids")
+    for i, line in enumerate(lines):
+        lineno = first + i + 1
+        tokens = line.split()
+        if len(tokens) != width:
+            raise FileFormatError(path, lineno, f"expected {width} {what}")
         try:
-            ids = [int(t) for t in tokens]
+            values = [convert(t) for t in tokens]
         except ValueError:
-            raise FileFormatError(path, lineno, "bad node id") from None
-        if any(not (0 <= n < nn) for n in ids):
+            raise FileFormatError(path, lineno, bad) from None
+        if bound is not None and any(not (0 <= v < bound) for v in values):
             raise FileFormatError(path, lineno, "node id out of range")
-        elems[e] = ids
+        out[i] = values
 
 
 def read_mesh(path: str) -> Mesh:
@@ -289,16 +273,19 @@ def read_mesh(path: str) -> Mesh:
         raise FileFormatError(path, 1, "expected 'dim num_nodes num_elements'") from None
     if dim not in (2, 3):
         raise FileFormatError(path, 1, f"dim must be 2 or 3, got {dim}")
+    if nn < 0 or ne < 0:
+        raise FileFormatError(path, 1, f"counts must be >= 0, got {nn} nodes and {ne} elements")
     if len(raw) < 1 + nn + ne:
         raise FileFormatError(path, len(raw), f"expected {nn} coordinate and {ne} element lines")
 
     coords = np.empty((nn, dim), dtype=np.float64)
     for lo in range(0, nn, _BLOCK_LINES):
-        _parse_coords(path, raw, coords, lo, min(lo + _BLOCK_LINES, nn))
-    nodes_per_elem = 4 if dim == 2 else 8
-    elems = np.empty((ne, nodes_per_elem), dtype=np.int64)
+        block = coords[lo:lo + _BLOCK_LINES]
+        _parse_rows(path, raw, 1 + lo, block, float, "coordinates", "bad coordinate value")
+    elems = np.empty((ne, 4 if dim == 2 else 8), dtype=np.int64)
     for lo in range(0, ne, _BLOCK_LINES):
-        _parse_elements(path, raw, elems, nn, lo, min(lo + _BLOCK_LINES, ne))
+        block = elems[lo:lo + _BLOCK_LINES]
+        _parse_rows(path, raw, 1 + nn + lo, block, int, "node ids", "bad node id", nn)
     try:
         return Mesh(dim, elems, coords)
     except ValueError as exc:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError
-from .graph import Partition, build_graph
+from .graph import Partition, _read_ids, build_graph
 from .kway import TargetWeights, derive_seed, partition_kway
 from .mesh import Mesh, _node_parts, _pair_nodes, _shared_sides
 
@@ -192,20 +191,7 @@ def write_ownership(ownership: NodeOwnership, path: str) -> None:
 
 
 def read_ownership(path: str, num_ranks: int | None = None) -> NodeOwnership:
-    owner = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                value = int(token)
-            except ValueError:
-                raise FileFormatError(path, lineno, f"bad rank id {token!r}") from None
-            if value < 0:
-                raise FileFormatError(path, lineno, f"negative rank id {value}")
-            owner.append(value)
-    if not owner:
-        raise FileFormatError(path, 1, "empty ownership file")
-    arr = np.asarray(owner, dtype=np.int64)
-    return NodeOwnership.from_owner(arr, num_ranks if num_ranks is not None else int(arr.max()) + 1)
+    owner = _read_ids(path, "ownership", "rank")
+    return NodeOwnership.from_owner(
+        owner, num_ranks if num_ranks is not None else int(owner.max()) + 1
+    )

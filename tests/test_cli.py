@@ -195,6 +195,33 @@ class TestExitCodes:
         assert "--tol" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--np2=0", "--seed=-1", f"--seed={2**64}"])
+    @pytest.mark.parametrize("command", ["partition", "compare"])
+    def test_bad_np2_or_seed_is_2(self, tmp_path, capsys, command, flag):
+        mesh = tmp_path / "m.txt"
+        out = tmp_path / "out.txt"
+        run("gen-mesh", "--nx", 2, "--ny", 2, "--out", mesh)
+        assert run(command, "--mesh", mesh, "--np", 2, flag, "--out", out) == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, bad_file", [("assign-nodes", "p.txt"), ("report", "p.txt"), ("report", "n.txt")]
+    )
+    def test_id_past_int64_is_4(self, tmp_path, capsys, command, bad_file):
+        mesh = tmp_path / "m.txt"
+        run("gen-mesh", "--nx", 2, "--ny", 1, "--out", mesh)
+        (tmp_path / "p.txt").write_text("0\n1\n")
+        (tmp_path / "n.txt").write_text("0\n" * 6)
+        (tmp_path / bad_file).write_text(f"0\n{2**63}\n")
+        files = ["--elem-part", tmp_path / "p.txt"]
+        if command == "report":
+            files += ["--node-part", tmp_path / "n.txt"]
+        else:
+            files += ["--out", tmp_path / "o.txt"]
+        assert run(command, "--mesh", mesh, *files) == 4
+        assert f"{bad_file}:2: " in capsys.readouterr().err
+
 
 def test_graph_input_matches_mesh_dual(tmp_path):
     from hierpart import dual_graph, generate_structured_quad, write_graph

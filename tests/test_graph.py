@@ -194,6 +194,20 @@ def test_read_partition_errors(tmp_path):
         read_partition(str(p))
 
 
+def test_read_partition_ids_must_fit_in_int64(tmp_path):
+    p = tmp_path / "p.txt"
+    p.write_text(f"0\n{2**63}\nzzz\n")
+    with pytest.raises(FileFormatError, match="p.txt:2: part id 9223372036854775808 does not fit"):
+        read_partition(str(p))
+    p.write_text(f"zzz\n{2**64}\n")  # the first bad line in file order wins
+    with pytest.raises(FileFormatError, match="p.txt:1: bad part id"):
+        read_partition(str(p))
+    p.write_text(f"{2**63 - 1}\n\n 0 \n")
+    again = read_partition(str(p))
+    assert again.parts.tolist() == [2**63 - 1, 0]
+    assert again.num_parts == 2**63
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_random_graphs_validate_and_round_trip(seed):

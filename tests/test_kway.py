@@ -328,6 +328,8 @@ class TestGainHeapEngine:
         expected = _scan_rebalance(g, p.parts.copy(), target)
         got = _rebalance(g, p.parts.copy(), target)
         assert got.tobytes() == expected.tobytes()
+        # A fixed point: _multilevel_bisect calls it once after peeling a vertex back.
+        assert _rebalance(g, got.copy(), target).tobytes() == got.tobytes()
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=150, deadline=None)

@@ -4,13 +4,17 @@ Each ``_loop_*`` function below is the earlier per-vertex / per-element Python
 implementation, kept verbatim (apart from its name and the names it calls) as
 an independent reference. Every test asserts identical arrays, identical file
 bytes, or the identical exception type and message, on random and malformed
-inputs.
+inputs. The fuzzed mesh and id files also drive ``main()`` itself, which must
+end in exit 0, 2, 3 or 4.
 """
 
+import contextlib
+import io
 import math
 import os
 import random
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -35,10 +39,13 @@ from hierpart import (
     interface_node_sets,
     partition_kway,
     read_mesh,
+    read_ownership,
+    read_partition,
     write_mesh,
     write_partition,
 )
 from hierpart import mesh as mesh_module
+from hierpart.cli import main
 from hierpart.mesh import _QUAD_SIDES, _HEX_SIDES, node_to_parts
 from hierpart.nodes import (
     NodeOwnership,
@@ -361,6 +368,46 @@ def _loop_write_partition(partition, path):
 def _loop_write_ownership(ownership, path):
     with open(path, "w") as fh:
         fh.writelines(f"{int(r)}\n" for r in ownership.owner)
+
+
+def _loop_read_partition(path):
+    parts = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            token = line.strip()
+            if not token:
+                continue
+            try:
+                value = int(token)
+            except ValueError:
+                raise FileFormatError(path, lineno, f"bad part id {token!r}") from None
+            if value < 0:
+                raise FileFormatError(path, lineno, f"negative part id {value}")
+            parts.append(value)
+    if not parts:
+        raise FileFormatError(path, 1, "empty partition file")
+    arr = np.asarray(parts, dtype=np.int64)
+    return Partition(arr, int(arr.max()) + 1)
+
+
+def _loop_read_ownership(path, num_ranks=None):
+    owner = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            token = line.strip()
+            if not token:
+                continue
+            try:
+                value = int(token)
+            except ValueError:
+                raise FileFormatError(path, lineno, f"bad rank id {token!r}") from None
+            if value < 0:
+                raise FileFormatError(path, lineno, f"negative rank id {value}")
+            owner.append(value)
+    if not owner:
+        raise FileFormatError(path, 1, "empty ownership file")
+    arr = np.asarray(owner, dtype=np.int64)
+    return NodeOwnership.from_owner(arr, num_ranks if num_ranks is not None else int(arr.max()) + 1)
 
 
 def _loop_mesh_post_init(self):
@@ -722,7 +769,7 @@ class TestReadMesh:
             path = os.path.join(tmp, "m.txt")
             with open(path, "w") as fh:
                 fh.write(text)
-            expected = _outcome(_loop_read_mesh, path)
+            expected = _expected_read_mesh(path)
             with mock.patch.object(mesh_module, "_BLOCK_LINES", block):
                 got = _outcome(read_mesh, path)
         _same_mesh_outcome(expected, got)
@@ -741,7 +788,26 @@ class TestReadMesh:
         path = str(tmp_path / "m.txt")
         with open(path, "w") as fh:
             fh.write(text)
-        _same_mesh_outcome(_outcome(_loop_read_mesh, path), _outcome(read_mesh, path))
+        _same_mesh_outcome(_expected_read_mesh(path), _outcome(read_mesh, path))
+
+
+def _expected_read_mesh(path):
+    """The loop's outcome, except that a negative header count is now a line-1 error.
+
+    The loop ran into numpy's "negative dimensions" error or an IndexError on
+    such headers; every other input must still give the loop's outcome.
+    """
+    with open(path) as fh:
+        head = fh.read().splitlines()[:1]
+    try:
+        dim, nn, ne = (int(t) for t in head[0].split())
+    except (IndexError, ValueError):
+        pass
+    else:
+        if dim in (2, 3) and min(nn, ne) < 0:
+            message = f"counts must be >= 0, got {nn} nodes and {ne} elements"
+            return (FileFormatError, f"{path}:1: {message}")
+    return _outcome(_loop_read_mesh, path)
 
 
 def _same_mesh_outcome(expected, got):
@@ -793,3 +859,167 @@ class TestWriters:
                 writer(value, paths[1])
                 with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
                     assert a.read() == b.read()
+
+
+# Tokens an id line may hold besides a plain id: signs, underscores and
+# non-ASCII digits that int() accepts, and junk it rejects.
+_ID_TOKENS = ["-1", "-0", "+2", "1_0", "_1", "1__0", "٣", "５", "x", "3.0", "1e3", "0x1", "1 2"]
+# Characters str.strip() removes but file iteration does not split on; int()
+# rejects some of them when they are left on the token ("5\x1c").
+_ID_SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028"]
+_LINE_BREAKS = ["\n", "\n", "\n", "\r\n", "\r"]
+
+
+def _fuzzed_id_bytes(rng, num_lines, big_ids=()):
+    """A one-id-per-line file, mostly ids below 100, as bytes.
+
+    Some lines are blank, padded, junk or one of ``big_ids``; line breaks mix
+    "\n", "\r\n" and "\r", and now and then an undecodable byte is spliced in.
+    """
+    junk_rate = rng.choice([0.0, 0.0, 0.02, 0.1, 0.3])
+    pad_rate = rng.choice([0.0, 0.1, 0.5])
+    top = rng.choice([1, 2, 3, 8, 100])
+    lines = []
+    for _ in range(num_lines):
+        if rng.random() < junk_rate:
+            token = str(rng.choice(big_ids)) if big_ids and rng.random() < 0.4 else rng.choice(_ID_TOKENS)
+        else:
+            token = str(rng.randrange(top))
+        if rng.random() < pad_rate:
+            token = rng.choice(_ID_SPACES) + token
+        if rng.random() < pad_rate:
+            token += rng.choice(_ID_SPACES)
+        lines.append(token)
+        if rng.random() < pad_rate / 4:
+            lines.append(rng.choice(["", *_ID_SPACES]))
+    text = "".join(line + rng.choice(_LINE_BREAKS) for line in lines)
+    if lines and rng.random() < 0.2:  # no line break at the end
+        text = text.rstrip("\r\n")
+    data = text.encode()
+    if rng.random() < 0.05:
+        at = rng.randint(0, len(data))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _expected_read_ids(loop_reader, path, what):
+    """The loop's outcome, except that an id past int64 is now a bad line.
+
+    The loop let such an id through to ``np.asarray``, which raised
+    ``OverflowError``, unless a later line was bad first.
+    """
+    bad_line = math.inf
+    try:
+        expected = loop_reader(path)
+    except FileFormatError as exc:
+        expected, bad_line = (FileFormatError, str(exc)), exc.line
+    except Exception as exc:  # the oracle must match any exception exactly
+        expected = (type(exc), str(exc))
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if lineno >= bad_line:
+                    break
+                try:
+                    value = int(line.strip())
+                except ValueError:
+                    continue
+                if value >= 2**63:
+                    message = f"{what} id {value} does not fit in 64 bits"
+                    return (FileFormatError, f"{path}:{lineno}: {message}")
+    except UnicodeDecodeError:  # the loop raised the same error
+        pass
+    return expected
+
+
+def _same_ids_outcome(expected, got):
+    if isinstance(expected, tuple):
+        assert got == expected
+    elif isinstance(expected, Partition):
+        assert got.parts.tobytes() == expected.parts.tobytes()
+        assert got.num_parts == expected.num_parts
+    else:
+        assert got.owner.tobytes() == expected.owner.tobytes()
+        assert got.counts.tobytes() == expected.counts.tobytes()
+
+
+class TestReadIds:
+    # Ids at or past int64 for both files. A partition id only sets num_parts,
+    # so any size is safe; an ownership id sizes a bincount, so only ids at or
+    # past 2**60, which numpy refuses before allocating, join the small ones.
+    _BIG_PART_IDS = [3_000_000_000, 2**63 - 1, 2**63, 2**64, 10**30, -(2**63), -(2**63) - 1]
+    _BIG_RANK_IDS = [2**62, 2**63 - 1, 2**63, 2**64, 10**30, -(2**63) - 1]
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300, deadline=None)
+    def test_readers_match_loop(self, seed):
+        rng = random.Random(seed)
+        cases = [
+            (_loop_read_partition, read_partition, "part", self._BIG_PART_IDS),
+            (_loop_read_ownership, read_ownership, "rank", self._BIG_RANK_IDS),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ids.txt")
+            for loop_reader, reader, what, big_ids in cases:
+                with open(path, "wb") as fh:
+                    fh.write(_fuzzed_id_bytes(rng, rng.randint(0, 30), big_ids))
+                expected = _expected_read_ids(loop_reader, path, what)
+                _same_ids_outcome(expected, _outcome(reader, path))
+
+    def test_undecodable_byte_wins_over_an_earlier_bad_line(self, tmp_path):
+        # The loop decoded 8 KiB at a time and met the bad line first; the
+        # whole file is decoded now, before any line is converted.
+        path = str(tmp_path / "ids.txt")
+        with open(path, "wb") as fh:
+            fh.write(b"x\n" + b"0\n" * 5000 + b"\xff\n")
+        for loop_reader, reader in [
+            (_loop_read_partition, read_partition),
+            (_loop_read_ownership, read_ownership),
+        ]:
+            assert _outcome(loop_reader, path)[0] is FileFormatError
+            assert _outcome(reader, path)[0] is UnicodeDecodeError
+
+
+class TestMainOnFuzzedFiles:
+    """Every command on fuzzed mesh and id files ends in exit 0, 2, 3 or 4."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_exit_codes(self, seed):
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            mesh, elem_part, node_part, out = (
+                os.path.join(tmp, name) for name in ("m.txt", "p.txt", "n.txt", "o.txt")
+            )
+            if rng.random() < 0.5:
+                write_mesh(_random_mesh(rng), mesh)
+            else:
+                with open(mesh, "w") as fh:
+                    fh.write(_fuzzed_mesh_text(rng))
+            with open(mesh) as fh:
+                head = fh.readline().split()[1:3]
+            # Id files usually match the header's node and element counts.
+            for path, token in zip((node_part, elem_part), head + ["5", "5"]):
+                try:
+                    size = int(token)
+                except ValueError:
+                    size = 5
+                num_lines = max(0, size + rng.choice([0, 0, 0, -1, 1]))
+                with open(path, "wb") as fh:
+                    fh.write(_fuzzed_id_bytes(rng, num_lines, [2**63, 2**64, -(2**63) - 1]))
+            np_, np2 = rng.randint(1, 6), rng.randint(1, 3)
+            runs = [
+                ["assign-nodes", "--mesh", mesh, "--elem-part", elem_part,
+                 "--node-strategy", rng.choice(["lowest-rank", "parity", "interface"]),
+                 "--out", out],
+                ["report", "--mesh", mesh, "--elem-part", elem_part, "--node-part", node_part,
+                 "--format", rng.choice(["text", "csv"])],
+                ["partition", "--mesh", mesh, "--np", str(np_), "--np2", str(np2),
+                 "--method", rng.choice(["hierarch", "flat"]), "--out", out],
+                ["compare", "--mesh", mesh, "--np", str(np_), "--np2", str(np2)],
+            ]
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    assert main(argv) in (0, 2, 3, 4), argv

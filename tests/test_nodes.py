@@ -162,3 +162,13 @@ def test_read_ownership_errors(tmp_path):
     p.write_text("")
     with pytest.raises(FileFormatError):
         read_ownership(str(p))
+
+
+def test_read_ownership_ids_must_fit_in_int64(tmp_path):
+    p = tmp_path / "own.txt"
+    p.write_text(f"0\n1\n{2**64}\n-1\n")
+    with pytest.raises(FileFormatError, match="own.txt:3: rank id 18446744073709551616 does not fit"):
+        read_ownership(str(p))
+    p.write_text(f"0\n-1\n{2**63}\n")  # the first bad line in file order wins
+    with pytest.raises(FileFormatError, match="own.txt:2: negative rank id -1"):
+        read_ownership(str(p))
