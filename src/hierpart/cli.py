@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -75,7 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
             ),
             "seed": lambda: p.add_argument("--seed", type=int, default=0),
             "tol": lambda: p.add_argument(
-                "--tol", type=float, default=0.03, help="per-bisection imbalance tolerance"
+                "--tol",
+                type=float,
+                default=0.03,
+                help="imbalance tolerance; a k-part cut gives each bisection tol / ceil(log2 k), "
+                "and hierarch does so in each of its two stages",
             ),
             "mesh": lambda: p.add_argument("--mesh", help="mesh file"),
             "graph": lambda: p.add_argument("--graph", help="graph file"),
@@ -194,6 +199,16 @@ def run_assign_nodes(args: argparse.Namespace) -> None:
     write_ownership(ownership, _require(args.out, "--out"))
 
 
+def _elem_ratio(partition: Partition) -> float:
+    """Element max/min per part; like NR, infinite with a warning when a part is empty."""
+    sizes = partition.part_sizes()
+    empty = np.flatnonzero(sizes == 0).tolist()
+    if empty:
+        warnings.warn(f"part(s) {empty} hold zero elements; elem max/min is infinite", stacklevel=2)
+        return float("inf")
+    return balance_stats(sizes).max_over_min
+
+
 def _report_rows(
     mesh_path: str, elem_part_path: str, node_part_path: str
 ) -> tuple[list[tuple[int, int, int, int]], int, float, float]:
@@ -213,18 +228,16 @@ def _report_rows(
         )
     num_ranks = max(partition.num_parts, ownership.num_ranks)
     partition = Partition(partition.parts, num_ranks)
-    node_counts = np.bincount(ownership.owner, minlength=num_ranks)
+    ownership = NodeOwnership.from_owner(ownership.owner, num_ranks)
 
     graph = dual_graph(mesh)
     metrics = per_rank_metrics(graph, partition)
     rows = [
-        (pid, m.vertex_count, int(node_counts[pid]), m.boundary_edge_count)
+        (pid, m.vertex_count, int(ownership.counts[pid]), m.boundary_edge_count)
         for pid, m in enumerate(metrics)
     ]
     global_cut = edge_cut(graph, partition)
-    ratio = node_ratio(NodeOwnership(ownership.owner, node_counts))
-    elem_ratio = balance_stats(partition.part_sizes()).max_over_min
-    return rows, global_cut, ratio, elem_ratio
+    return rows, global_cut, node_ratio(ownership), _elem_ratio(partition)
 
 
 def _format_table(header: list[str], rows: list[tuple], footer: list[str]) -> str:
@@ -270,7 +283,7 @@ def run_compare(args: argparse.Namespace) -> None:
     for method in ("hierarch", "flat"):
         partition = _compute_partition(graph, args, method)
         cut = edge_cut(graph, partition)
-        elem_ratio = balance_stats(partition.part_sizes()).max_over_min
+        elem_ratio = _elem_ratio(partition)
         for strategy in sorted(_STRATEGIES):
             ownership = _STRATEGIES[strategy](mesh, partition, args.seed)
             rows.append(

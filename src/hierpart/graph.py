@@ -303,8 +303,8 @@ def balance_stats(sizes: Sequence[int]) -> BalanceStats:
 #
 # Graph file (classic adjacency format): first line "nv ne", then nv lines;
 # line i holds the neighbors of vertex i as 1-indexed ids (no weights: every
-# edge and vertex reads back with weight 1). Partition file:
-# one 0-indexed part id per line.
+# edge and vertex reads back with weight 1). Id files (partition, and the
+# node ownership file of ``nodes``): one 0-indexed id per line.
 # ---------------------------------------------------------------------------
 
 
@@ -354,7 +354,12 @@ def read_graph(path: str) -> Graph:
 
 
 def write_partition(partition: Partition, path: str) -> None:
-    text = "\n".join(map(str, partition.parts.tolist()))
+    _write_ids(partition.parts, path)
+
+
+def _write_ids(ids: np.ndarray, path: str) -> None:
+    """Write one id per line, the format :func:`_read_ids` reads back."""
+    text = "\n".join(map(str, ids.tolist()))
     with open(path, "w") as fh:
         fh.write(text + "\n" if text else "")
 

@@ -203,9 +203,9 @@ def hierarchical_partition(
     per-group seed (``seed ^ group``); the composed result has every final
     part nonempty.
     """
-    if total_parts < 1 or group_size < 1:
-        raise ValueError("total_parts and group_size must be >= 1")
-    if total_parts > g.num_vertices:
+    # Refuse a part count past the vertex count before compute_splits sizes
+    # arrays by it; with group_size < 1, compute_splits' range error wins.
+    if group_size >= 1 and total_parts > g.num_vertices:
         raise InfeasibleError(
             f"cannot cut {g.num_vertices} vertices into {total_parts} nonempty parts"
         )

@@ -45,9 +45,6 @@ _MASK64 = (1 << 64) - 1
 _COARSEST_SIZE = 40
 _MIN_SHRINK = 0.10
 
-# Number of distinct growing starts tried at the coarsest level.
-_NUM_STARTS = 4
-
 
 class BalanceWindowWarning(UserWarning):
     """Refinement was asked for a balance window its input already violates."""
@@ -501,14 +498,18 @@ def _coarsening_chain(g: Graph, seed: int) -> list[CoarseningLevel]:
     return chain
 
 
-def _fm_safe(g: Graph, parts: np.ndarray, target_fraction: float, tol: float) -> np.ndarray:
-    """fm_refine with the window widened to admit the input (never warns)."""
-    vw = g.vertex_weights
+def _refine_level(g: Graph, parts: np.ndarray, target_fraction: float, tol: float) -> np.ndarray:
+    """One V-cycle refinement step: rebalance, then FM in a window that admits the result.
+
+    FM goes through the module-level name ``fm_refine``, once per coarsest
+    start and once per level, because an outside-in tracer counts the calls
+    by rebinding that name.
+    """
+    parts = _rebalance(g, parts, target_fraction)
     total = g.total_vertex_weight
-    dev = abs(int(vw[parts == 0].sum()) - target_fraction * total)
+    dev = abs(int(g.vertex_weights[parts == 0].sum()) - target_fraction * total)
     effective = max(tol, dev / total + 1e-12)
-    refined = fm_refine(g, Partition(parts, 2), target_fraction, effective)
-    return refined.parts
+    return fm_refine(g, Partition(parts, 2), target_fraction, effective).parts
 
 
 def _multilevel_bisect(
@@ -517,44 +518,33 @@ def _multilevel_bisect(
     tol: float,
     seed: int,
     min_counts: tuple[int, int] = (1, 1),
-) -> Partition:
-    """Full V-cycle bisection honoring per-side minimum vertex counts."""
+) -> np.ndarray:
+    """Full V-cycle bisection honoring per-side minimum vertex counts; returns part ids."""
     chain = _coarsening_chain(g, seed)
     coarsest = chain[-1].graph if chain else g
 
-    best_parts: np.ndarray | None = None
     best_key: tuple[int, float] | None = None
-    total = coarsest.total_vertex_weight
+    target = target_fraction * coarsest.total_vertex_weight
     nvc = coarsest.num_vertices
     # One seeded start plus fixed spread starts: cheap insurance against a
     # growth front that strands the small side of a lopsided target.
-    starts: list[int] = []
-    for s in (random.Random(derive_seed(seed, 2)).randrange(nvc), 0, nvc - 1, nvc // 2):
-        if s not in starts:
-            starts.append(int(s))
-    for t, start in enumerate(starts[:_NUM_STARTS]):
-        init = initial_bisection(coarsest, target_fraction, derive_seed(seed, 2, t), start=start)
-        cand = init.parts.copy()
+    seeded = random.Random(derive_seed(seed, 2)).randrange(nvc)
+    for start in dict.fromkeys((seeded, 0, nvc - 1, nvc // 2)):
+        cand = initial_bisection(coarsest, target_fraction, seed, start=start).parts
         if cand.min() == cand.max():  # growth swallowed everything; peel one back
             cand[np.argmax(coarsest.vertex_weights == coarsest.vertex_weights.min())] = 1
-        cand = _rebalance(coarsest, cand, target_fraction)
-        cand = _fm_safe(coarsest, cand, target_fraction, tol)
+        cand = _refine_level(coarsest, cand, target_fraction, tol)
         key = (
             edge_cut(coarsest, Partition(cand, 2)),
-            abs(float(coarsest.vertex_weights[cand == 0].sum()) - target_fraction * total),
+            abs(float(coarsest.vertex_weights[cand == 0].sum()) - target),
         )
         if best_key is None or key < best_key:
-            best_key, best_parts = key, cand
-    parts = best_parts
-    assert parts is not None
+            best_key, parts = key, cand
 
     for idx in range(len(chain) - 1, -1, -1):
-        parts = parts[chain[idx].projection]
         fine = g if idx == 0 else chain[idx - 1].graph
-        parts = _rebalance(fine, parts, target_fraction)
-        parts = _fm_safe(fine, parts, target_fraction, tol)
-    parts = _repair_counts(g, parts, min_counts)
-    return Partition(parts, 2)
+        parts = _refine_level(fine, parts[chain[idx].projection], target_fraction, tol)
+    return _repair_counts(g, parts, min_counts)
 
 
 def partition_kway(
@@ -608,22 +598,12 @@ def _recurse(
         return
     mid = (k + 1) // 2
     left_fraction = float(fractions[:mid].sum() / fractions.sum())
-    local = _multilevel_bisect(
-        g,
-        left_fraction,
-        tol,
-        seed,
-        (int(mins[:mid].sum()), int(mins[mid:].sum())),
-    )
-    left_ids = np.flatnonzero(local.parts == 0)
-    right_ids = np.flatnonzero(local.parts == 1)
-    left_g, _ = extract_subgraph(g, left_ids)
-    right_g, _ = extract_subgraph(g, right_ids)
-    _recurse(
-        left_g, global_ids[left_ids], fractions[:mid], mins[:mid],
-        derive_seed(seed, 3), tol, out, part_offset,
-    )
-    _recurse(
-        right_g, global_ids[right_ids], fractions[mid:], mins[mid:],
-        derive_seed(seed, 4), tol, out, part_offset + mid,
-    )
+    min_counts = (int(mins[:mid].sum()), int(mins[mid:].sum()))
+    sides = _multilevel_bisect(g, left_fraction, tol, seed, min_counts)
+    for side, half in enumerate((slice(None, mid), slice(mid, None))):
+        ids = np.flatnonzero(sides == side)
+        sub, _ = extract_subgraph(g, ids)
+        _recurse(
+            sub, global_ids[ids], fractions[half], mins[half],
+            derive_seed(seed, 3 + side), tol, out, part_offset + side * mid,
+        )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Partition, _read_ids, build_graph
+from .graph import Partition, _read_ids, _write_ids, build_graph
 from .kway import TargetWeights, derive_seed, partition_kway
 from .mesh import Mesh, _node_parts, _pair_nodes, _shared_sides
 
@@ -181,17 +181,13 @@ def node_ratio(ownership: NodeOwnership) -> float:
     return int(counts.max()) / lo
 
 
-# One 0-indexed owning rank per line, one line per node.
+# One 0-indexed owning rank per line, one line per node: graph's id-file format.
 
 
 def write_ownership(ownership: NodeOwnership, path: str) -> None:
-    text = "\n".join(map(str, ownership.owner.tolist()))
-    with open(path, "w") as fh:
-        fh.write(text + "\n" if text else "")
+    _write_ids(ownership.owner, path)
 
 
-def read_ownership(path: str, num_ranks: int | None = None) -> NodeOwnership:
+def read_ownership(path: str) -> NodeOwnership:
     owner = _read_ids(path, "ownership", "rank")
-    return NodeOwnership.from_owner(
-        owner, num_ranks if num_ranks is not None else int(owner.max()) + 1
-    )
+    return NodeOwnership.from_owner(owner, int(owner.max()) + 1)

@@ -111,6 +111,38 @@ def test_report_single_rank(tmp_path, capsys):
     assert "NR:            1.000000" in text
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_report_unused_part_id_reads_inf(tmp_path, capsys, fmt):
+    """An empty rank makes both ratios infinite with a warning, not an error."""
+    mesh, epart, npart = tmp_path / "m.txt", tmp_path / "p.txt", tmp_path / "n.txt"
+    run("gen-mesh", "--nx", 2, "--ny", 1, "--out", mesh)
+    epart.write_text("0\n2\n")
+    assert (
+        run("assign-nodes", "--mesh", mesh, "--elem-part", epart,
+            "--node-strategy", "lowest-rank", "--out", npart)
+        == 0
+    )
+    with pytest.warns(UserWarning) as record:
+        assert (
+            run("report", "--mesh", mesh, "--elem-part", epart, "--node-part", npart,
+                "--format", fmt)
+            == 0
+        )
+    messages = [str(w.message) for w in record]
+    assert "rank(s) [1] own zero nodes; node ratio is infinite" in messages
+    assert "part(s) [1] hold zero elements; elem max/min is infinite" in messages
+    out = capsys.readouterr().out
+    expected = [["0", "1", "4", "1"], ["1", "0", "0", "0"], ["2", "1", "2", "1"]]
+    if fmt == "csv":
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[:4] for row in rows] == expected
+        assert all(row[5:] == ["inf", "inf"] for row in rows)
+    else:
+        assert [line.split() for line in out.splitlines()[1:4]] == expected
+        assert "NR:            inf" in out
+        assert "elem max/min:  inf" in out
+
+
 def test_report_length_mismatch_names_files(tmp_path, capsys):
     mesh, epart, npart = tmp_path / "m.txt", tmp_path / "p.txt", tmp_path / "n.txt"
     run("gen-mesh", "--nx", 2, "--ny", 1, "--out", mesh)

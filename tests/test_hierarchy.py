@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierpart import hierarchy
 from hierpart import (
     InfeasibleError,
     Partition,
@@ -201,6 +202,20 @@ class TestHierarchicalPartition:
             hierarchical_partition(g, 5, 2, seed=0)
         with pytest.raises(ValueError):
             hierarchical_partition(g, 0, 2, seed=0)
+        # A bad group size is a ValueError even when the part count is infeasible.
+        for total, group in [(5, 0), (4, 0), (0, 0)]:
+            with pytest.raises(ValueError, match="total_parts and group_size must be >= 1"):
+                hierarchical_partition(g, total, group, seed=0)
+
+    def test_infeasible_count_is_refused_before_sizing_groups(self, monkeypatch):
+        # compute_splits allocates per group; 10**9 groups would take ~24 GB.
+        def refuse(*args):
+            raise AssertionError("compute_splits ran on an infeasible part count")
+
+        monkeypatch.setattr(hierarchy, "compute_splits", refuse)
+        g = dual_graph(generate_structured_quad(2, 2))
+        with pytest.raises(InfeasibleError, match="cannot cut 4 vertices into 1000000000"):
+            hierarchical_partition(g, 10**9, 1, seed=0)
 
     def test_deterministic(self):
         g = dual_graph(generate_structured_quad(10, 10))

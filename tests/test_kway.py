@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_two_sided
+from hierpart import kway
 from hierpart import (
     BalanceWindowWarning,
+    Graph,
     InfeasibleError,
     Partition,
     TargetWeights,
@@ -483,3 +485,31 @@ class TestPartitionKway:
         p = partition_kway(g, k, TargetWeights.uniform(k), seed=seed)
         assert p.part_sizes().min() >= 1
         assert p.num_parts == k
+
+
+class TestRefinementCallStructure:
+    """perfbench's tracer counts FM by rebinding ``kway.fm_refine``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("target_fraction", [0.5, 0.3])
+    def test_one_fm_call_per_start_and_level(self, monkeypatch, seed, target_fraction):
+        g = dual_graph(generate_structured_quad(16, 16))
+        fm_args, starts = [], []
+        real_fm, real_init = kway.fm_refine, kway.initial_bisection
+
+        def fm(graph, p, *args, **kwargs):
+            fm_args.append((graph, p))
+            return real_fm(graph, p, *args, **kwargs)
+
+        def init(*args, **kwargs):
+            starts.append(kwargs.get("start"))
+            return real_init(*args, **kwargs)
+
+        monkeypatch.setattr(kway, "fm_refine", fm)
+        monkeypatch.setattr(kway, "initial_bisection", init)
+        kway._multilevel_bisect(g, target_fraction, 0.03, seed)
+        chain = kway._coarsening_chain(g, seed)
+        assert chain and starts
+        assert all(isinstance(graph, Graph) for graph, _ in fm_args)
+        assert all(isinstance(p, Partition) and p.num_parts == 2 for _, p in fm_args)
+        assert len(fm_args) == len(starts) + len(chain)
