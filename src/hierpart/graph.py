@@ -365,12 +365,14 @@ def _write_ids(ids: np.ndarray, path: str) -> None:
 
 
 def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
-    """The non-negative ids of a one-id-per-line file, blank lines skipped.
+    """The ids of a one-id-per-line file, blank lines skipped.
 
     Lines are split as iterating over the file splits them, and each line is
-    stripped before ``int`` converts it. The whole file is converted in one
-    pass; only a file that fails is walked line by line to name its first bad
-    line. ``kind`` names the file and ``what`` its ids in error messages.
+    stripped before ``int`` converts it. An id lies from 0 up to the number
+    of ids in the file, inclusive, so that arrays sized by the largest id
+    stay proportional to the file. The whole file is converted in one pass; only
+    a file that fails is walked line by line to name its first bad line.
+    ``kind`` names the file and ``what`` its ids in error messages.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -379,7 +381,7 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
         ids = np.fromiter(map(int, tokens), np.int64, len(tokens))
     except (ValueError, OverflowError):  # OverflowError: an id past int64
         ids = None
-    if ids is None or (len(ids) and ids.min() < 0):
+    if ids is None or (len(ids) and (ids.min() < 0 or ids.max() > len(ids))):
         for lineno, line in enumerate(lines, start=1):
             token = line.strip()
             if not token:
@@ -392,6 +394,10 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
                 raise FileFormatError(path, lineno, f"negative {what} id {value}")
             if value >= 2**63:
                 raise FileFormatError(path, lineno, f"{what} id {value} does not fit in 64 bits")
+            if value > len(tokens):
+                raise FileFormatError(
+                    path, lineno, f"{what} id {value} exceeds the file's id count {len(tokens)}"
+                )
     if not len(ids):
         raise FileFormatError(path, 1, f"empty {kind} file")
     return ids

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .graph import Graph, Partition, extract_subgraph
-from .kway import TargetWeights, partition_kway
+from .kway import TargetWeights, _fork_map, partition_kway
 
 __all__ = [
     "SplitPlan",
@@ -201,7 +201,8 @@ def hierarchical_partition(
     exchanged between simulated ranks so each group holds its own subgraph;
     stage two cuts each subgraph uniformly into that group's part count with a
     per-group seed (``seed ^ group``); the composed result has every final
-    part nonempty.
+    part nonempty. Stage-two groups may run side by side in forked workers
+    (see :func:`hierpart.kway._fork_join`); the result does not depend on it.
     """
     # Refuse a part count past the vertex count before compute_splits sizes
     # arrays by it; with group_size < 1, compute_splits' range error wins.
@@ -222,20 +223,25 @@ def hierarchical_partition(
     layout = trivial_distribute(g.num_vertices, plan.num_groups)
     exchange = discover_exchange(layout, p1)
 
-    p2 = np.zeros(g.num_vertices, dtype=np.int64)
-    for group in range(plan.num_groups):
-        members = exchange.received(group)
-        parts_here = int(plan.group_counts[group])
-        if parts_here == 1:
-            continue  # p2 already zero
-        subgraph, local_to_global = extract_subgraph(g, members)
-        sub_parts = partition_kway(
+    # Groups of one part keep p2 = 0. The others are independent, so they run
+    # in lanes of about equal part count.
+    groups = np.flatnonzero(plan.group_counts > 1).tolist()
+    members = [exchange.received(group) for group in groups]
+
+    def stage2(i: int) -> np.ndarray:
+        parts_here = int(plan.group_counts[groups[i]])
+        subgraph, _ = extract_subgraph(g, members[i])
+        return partition_kway(
             subgraph,
             parts_here,
             TargetWeights.uniform(parts_here),
-            seed ^ group,
+            seed ^ groups[i],
             imbalance_tol=imbalance_tol,
-        )
-        p2[local_to_global] = sub_parts.parts
+        ).parts
+
+    p2 = np.zeros(g.num_vertices, dtype=np.int64)
+    counts = plan.group_counts[groups].tolist()
+    for ids, sub_parts in zip(members, _fork_map(stage2, range(len(groups)), counts)):
+        p2[ids] = sub_parts
     max_group_parts = int(plan.group_counts.max())
     return compose_final(p1, Partition(p2, max_group_parts), plan)

@@ -8,18 +8,27 @@ one exact gain-heap engine, whose select-and-move step is the only move loop.
 k-way output comes from recursive bisection over a split of the target-weight
 vector.
 
-Everything here is deterministic for a fixed seed.
+Everything here is deterministic for a fixed seed. Independent branches (the
+two halves of a bisection, and the callers' per-group and per-pair loops) may
+run side by side in forked workers, but no branch's seed or input depends on
+that schedule, so outputs do not either.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
+import os
+import pickle
 import random
+import signal
+import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,6 +53,16 @@ _MASK64 = (1 << 64) - 1
 # less than 10%.
 _COARSEST_SIZE = 40
 _MIN_SHRINK = 0.10
+
+
+_T = TypeVar("_T")
+_U = TypeVar("_U")
+
+# CPUs this process may still hand to forked workers. Each fork spends one and
+# splits the rest between parent and child; 0 runs everything inline.
+_spare_cpus = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+) - 1
 
 
 class BalanceWindowWarning(UserWarning):
@@ -577,33 +596,117 @@ def partition_kway(
     if int(mins.sum()) > g.num_vertices:
         raise InfeasibleError("minimum part counts exceed the vertex count")
     depth = max(1, math.ceil(math.log2(k)))
-    parts = np.zeros(g.num_vertices, dtype=np.int64)
-    _recurse(g, np.arange(g.num_vertices), w.fractions, mins, seed, imbalance_tol / depth, parts, 0)
-    return Partition(parts, k)
+    return Partition(_recurse(g, w.fractions, mins, seed, imbalance_tol / depth), k)
 
 
 def _recurse(
-    g: Graph,
-    global_ids: np.ndarray,
-    fractions: np.ndarray,
-    mins: np.ndarray,
-    seed: int,
-    tol: float,
-    out: np.ndarray,
-    part_offset: int,
-) -> None:
+    g: Graph, fractions: np.ndarray, mins: np.ndarray, seed: int, tol: float
+) -> np.ndarray:
+    """Part ids ``0 .. len(fractions) - 1`` of ``g``'s vertices, by recursive bisection."""
     k = len(fractions)
     if k == 1:
-        out[global_ids] = part_offset
-        return
+        return np.zeros(g.num_vertices, dtype=np.int64)
     mid = (k + 1) // 2
     left_fraction = float(fractions[:mid].sum() / fractions.sum())
     min_counts = (int(mins[:mid].sum()), int(mins[mid:].sum()))
     sides = _multilevel_bisect(g, left_fraction, tol, seed, min_counts)
-    for side, half in enumerate((slice(None, mid), slice(mid, None))):
-        ids = np.flatnonzero(sides == side)
-        sub, _ = extract_subgraph(g, ids)
-        _recurse(
-            sub, global_ids[ids], fractions[half], mins[half],
-            derive_seed(seed, 3 + side), tol, out, part_offset + side * mid,
+
+    def half(side: int, parts: slice) -> np.ndarray:
+        sub, _ = extract_subgraph(g, np.flatnonzero(sides == side))
+        return _recurse(sub, fractions[parts], mins[parts], derive_seed(seed, 3 + side), tol)
+
+    left = functools.partial(half, 0, slice(None, mid))
+    right = functools.partial(half, 1, slice(mid, None))
+    if k - mid >= 2:  # both halves bisect again: run them side by side
+        left_parts, right_parts = _fork_join(left, right)
+    else:
+        left_parts, right_parts = left(), right()
+    parts = np.empty(g.num_vertices, dtype=np.int64)
+    parts[sides == 0] = left_parts
+    parts[sides == 1] = right_parts + mid
+    return parts
+
+
+def _fork_join(left: Callable[[], _T], right: Callable[[], _U]) -> tuple[_T, _U]:
+    """``(left(), right())``, with ``left`` run in a forked child while a CPU is spare.
+
+    The child pickles its result, or the exception it raised, into a pipe and
+    leaves through ``os._exit``. The parent runs ``right`` meanwhile, then
+    reads the pipe; it reaps the child on every path, and kills it first if
+    ``right`` raises. Each fork spends one spare CPU and splits the rest
+    between the two sides. Without a spare CPU, without ``os.fork``, while
+    other Python threads run (they may hold locks the child would need, and
+    they share the budget), or when the fork fails, both callables run
+    inline, ``left`` first.
+    """
+    global _spare_cpus
+    budget = _spare_cpus
+    if budget < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return left(), right()
+    child_share = (budget - 1) // 2
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when a process with other OS threads forks, since
+        # the child could wait forever on a lock one of them held. With no
+        # other Python thread, those are native threads such as OpenBLAS's
+        # idle pool after ``import numpy``; hierpart makes no BLAS calls, so
+        # the child never takes such a lock.
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+            DeprecationWarning,
         )
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare (EAGAIN, ENOMEM): run inline
+            os.close(read_fd)
+            os.close(write_fd)
+            return left(), right()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            _spare_cpus = child_share
+            try:
+                outcome = (True, left())
+            except BaseException as exc:
+                try:  # the parent raises a copy; not every exception class rebuilds from its args
+                    outcome = (False, pickle.loads(pickle.dumps(exc)))
+                except Exception:
+                    outcome = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    _spare_cpus = budget - 1 - child_share
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            try:
+                right_result = right()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            data = fh.read()
+    finally:
+        _spare_cpus = budget
+        os.waitpid(pid, 0)
+    if not data:
+        raise ChildProcessError(f"forked worker {pid} exited without a result")
+    ok, left_result = pickle.loads(data)
+    if not ok:
+        raise left_result
+    return left_result, right_result
+
+
+def _fork_map(fn: Callable[[_T], _U], items: Sequence[_T], weights: Sequence[int]) -> list[_U]:
+    """``[fn(x) for x in items]``, cut into two lanes of about equal total weight
+    that run side by side through :func:`_fork_join`; each lane is cut the same
+    way again while a CPU is spare."""
+    if len(items) < 2 or _spare_cpus < 1:
+        return [fn(x) for x in items]
+    totals = list(itertools.accumulate(weights))
+    cut = min(range(1, len(items)), key=lambda i: abs(2 * totals[i - 1] - totals[-1]))
+    left, right = _fork_join(
+        lambda: _fork_map(fn, items[:cut], weights[:cut]),
+        lambda: _fork_map(fn, items[cut:], weights[cut:]),
+    )
+    return left + right

@@ -146,6 +146,7 @@ def _node_parts(mesh: Mesh, elem_partition: Partition) -> tuple[np.ndarray, np.n
 
     The parts touching node ``n`` (through its elements) are
     ``parts[offsets[n]:offsets[n + 1]]``, ascending and without repeats.
+    Every node must belong to an element.
     """
     if len(elem_partition.parts) != mesh.num_elements:
         raise ValueError(
@@ -154,8 +155,11 @@ def _node_parts(mesh: Mesh, elem_partition: Partition) -> tuple[np.ndarray, np.n
     num_parts = elem_partition.num_parts
     pairs = np.unique(mesh.element_nodes * num_parts + elem_partition.parts[:, None])
     nodes, parts = np.divmod(pairs, num_parts)
+    counts = np.bincount(nodes, minlength=mesh.num_nodes)
+    if not counts.all():
+        raise ValueError(f"node {int(np.argmin(counts))} belongs to no element")
     offsets = np.zeros(mesh.num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(nodes, minlength=mesh.num_nodes), out=offsets[1:])
+    np.cumsum(counts, out=offsets[1:])
     return offsets, parts
 
 
@@ -287,6 +291,12 @@ def read_mesh(path: str) -> Mesh:
         block = elems[lo:lo + _BLOCK_LINES]
         _parse_rows(path, raw, 1 + nn + lo, block, int, "node ids", "bad node id", nn)
     try:
-        return Mesh(dim, elems, coords)
+        mesh = Mesh(dim, elems, coords)
     except ValueError as exc:
         raise FileFormatError(path, 1, str(exc)) from None
+    used = np.zeros(nn, dtype=bool)
+    used[elems] = True
+    if not used.all():
+        node = int(np.argmin(used))
+        raise FileFormatError(path, 2 + node, f"node {node} belongs to no element")
+    return mesh

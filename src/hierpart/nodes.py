@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Partition, _read_ids, _write_ids, build_graph
-from .kway import TargetWeights, derive_seed, partition_kway
+from .kway import TargetWeights, _fork_map, derive_seed, partition_kway
 from .mesh import Mesh, _node_parts, _pair_nodes, _shared_sides
 
 __all__ = [
@@ -88,9 +88,6 @@ def _assign_multi_rank_greedy(
 def assign_lowest_rank(mesh: Mesh, elem_partition: Partition) -> NodeOwnership:
     """Every node goes to the minimum rank among its attached elements."""
     offsets, parts = _node_parts(mesh, elem_partition)
-    if np.any(offsets[1:] == offsets[:-1]):
-        # A node no element uses has no lowest rank; this is min() of nothing.
-        raise ValueError("min() arg is an empty sequence")
     owner = parts[offsets[:-1]]  # each node's ranks are ascending
     return NodeOwnership.from_owner(owner, elem_partition.num_parts)
 
@@ -140,17 +137,20 @@ def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int)
     edge_pairs = edges[:, 0] * num_ranks + edges[:, 1]
     node_pairs = a * num_ranks + b
     starts = np.flatnonzero(np.diff(node_pairs, prepend=-1))
-    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(nodes)]):
+    pairs = list(zip(starts.tolist(), [*starts[1:].tolist(), len(nodes)]))
+
+    def bisect(pair: tuple[int, int]) -> np.ndarray:
+        """Owning rank of each of the pair's members."""
+        lo, hi = pair
         low, high = int(a[lo]), int(b[lo])
         members = nodes[lo:hi]  # ascending
         if len(members) == 1:
-            owner[members[0]] = low
-            continue
+            return np.array([low])
         # Keep the pair's edges whose ends are both members; nodes touching
         # three or more ranks sit outside every pair.
-        pair = slice(*np.searchsorted(edge_pairs, [node_pairs[lo], node_pairs[lo] + 1]))
-        ends = np.searchsorted(members, edges[pair, 2:])
-        inside = np.all(members[np.minimum(ends, len(members) - 1)] == edges[pair, 2:], axis=1)
+        span = slice(*np.searchsorted(edge_pairs, [node_pairs[lo], node_pairs[lo] + 1]))
+        ends = np.searchsorted(members, edges[span, 2:])
+        inside = np.all(members[np.minimum(ends, len(members) - 1)] == edges[span, 2:], axis=1)
         local = ends[inside]
         halves = partition_kway(
             build_graph(np.column_stack([local, np.ones(len(local), dtype=np.int64)]), len(members)),
@@ -159,7 +159,11 @@ def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int)
             derive_seed(seed, low, high),
         )
         low_half = halves.parts[0]  # members[0] is the smallest node id
-        owner[members] = np.where(halves.parts == low_half, low, high)
+        return np.where(halves.parts == low_half, low, high)
+
+    # The pairs are independent, so they run in lanes of about equal node count.
+    for (lo, hi), pair_owner in zip(pairs, _fork_map(bisect, pairs, [hi - lo for lo, hi in pairs])):
+        owner[nodes[lo:hi]] = pair_owner
     _assign_multi_rank_greedy(owner, offsets, parts, num_ranks)
     return NodeOwnership.from_owner(owner, num_ranks)
 

@@ -255,6 +255,45 @@ class TestExitCodes:
         assert f"{bad_file}:2: " in capsys.readouterr().err
 
 
+    # A 1-quad mesh whose fifth node belongs to no element.
+    UNUSED_NODE_MESH = "2 5 1\n0 0\n1 0\n1 1\n0 1\n2 2\n0 1 2 3\n"
+
+    @pytest.mark.parametrize("command", ["assign-nodes", "report", "partition"])
+    def test_unused_mesh_node_is_4(self, tmp_path, capsys, command):
+        mesh, part = tmp_path / "m.txt", tmp_path / "p.txt"
+        mesh.write_text(self.UNUSED_NODE_MESH)
+        part.write_text("0\n")
+        (tmp_path / "n.txt").write_text("0\n" * 5)
+        files = {
+            "assign-nodes": ["--elem-part", part, "--out", tmp_path / "o.txt"],
+            "report": ["--elem-part", part, "--node-part", tmp_path / "n.txt"],
+            "partition": ["--np", 1, "--out", tmp_path / "o.txt"],
+        }[command]
+        assert run(command, "--mesh", mesh, *files) == 4
+        assert capsys.readouterr().err == f"error: {mesh}:6: node 4 belongs to no element\n"
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 3_000_000_000])
+    @pytest.mark.parametrize(
+        "command, bad_file", [("assign-nodes", "p.txt"), ("report", "p.txt"), ("report", "n.txt")]
+    )
+    def test_id_past_the_id_count_is_4(self, tmp_path, capsys, command, bad_file, big):
+        mesh = tmp_path / "m.txt"
+        run("gen-mesh", "--nx", 2, "--ny", 1, "--out", mesh)
+        (tmp_path / "p.txt").write_text("0\n1\n")
+        (tmp_path / "n.txt").write_text("0\n" * 6)
+        (tmp_path / bad_file).write_text(f"0\n{big}\n")
+        files = ["--elem-part", tmp_path / "p.txt"]
+        if command == "report":
+            files += ["--node-part", tmp_path / "n.txt"]
+        else:
+            files += ["--out", tmp_path / "o.txt"]
+        assert run(command, "--mesh", mesh, *files) == 4
+        what = "part" if bad_file == "p.txt" else "rank"
+        message = f"{bad_file}:2: {what} id {big} exceeds the file's id count 2\n"
+        assert capsys.readouterr().err.endswith(message)
+
+
 def test_graph_input_matches_mesh_dual(tmp_path):
     from hierpart import dual_graph, generate_structured_quad, write_graph
 

@@ -202,10 +202,23 @@ def test_read_partition_ids_must_fit_in_int64(tmp_path):
     p.write_text(f"zzz\n{2**64}\n")  # the first bad line in file order wins
     with pytest.raises(FileFormatError, match="p.txt:1: bad part id"):
         read_partition(str(p))
-    p.write_text(f"{2**63 - 1}\n\n 0 \n")
+    p.write_text(f"{2**63 - 1}\n\n 0 \n")  # fits, but past the id count
+    with pytest.raises(FileFormatError, match="p.txt:1: part id 9223372036854775807 exceeds"):
+        read_partition(str(p))
+
+
+def test_read_partition_ids_are_bounded_by_the_id_count(tmp_path):
+    p = tmp_path / "p.txt"
+    p.write_text("2\n\n 0 \n")  # an id may equal the id count: part 1 is unused
     again = read_partition(str(p))
-    assert again.parts.tolist() == [2**63 - 1, 0]
-    assert again.num_parts == 2**63
+    assert again.parts.tolist() == [2, 0]
+    assert again.num_parts == 3
+    p.write_text("0\n5\n1\n6\n")  # the first id past the count names its line
+    with pytest.raises(FileFormatError, match="p.txt:2: part id 5 exceeds the file's id count 4"):
+        read_partition(str(p))
+    p.write_text("0\n3000000000\nzzz\n")
+    with pytest.raises(FileFormatError, match="p.txt:2: part id 3000000000 exceeds"):
+        read_partition(str(p))
 
 
 @given(st.integers(0, 10_000))

@@ -680,11 +680,17 @@ class TestMeshLayer:
         mesh = _random_mesh(rng)
         _same_graph_outcome(_outcome(_loop_dual_graph, mesh), _outcome(dual_graph, mesh))
         part = _random_partition(rng, mesh)
-        assert node_to_parts(mesh, part) == _loop_node_to_parts(mesh, part)
-        expected_pairs, expected_multi = _loop_interface_node_sets(mesh, part)
-        pairs, multi = interface_node_sets(mesh, part)
-        assert pairs == expected_pairs and list(pairs) == list(expected_pairs)
-        assert multi == expected_multi
+        unused = _first_unused_node(mesh)
+        if unused is not None:  # the loop gave such a node no parts
+            refused = (ValueError, f"node {unused} belongs to no element")
+            assert _outcome(node_to_parts, mesh, part) == refused
+            assert _outcome(interface_node_sets, mesh, part) == refused
+        else:
+            assert node_to_parts(mesh, part) == _loop_node_to_parts(mesh, part)
+            expected_pairs, expected_multi = _loop_interface_node_sets(mesh, part)
+            pairs, multi = interface_node_sets(mesh, part)
+            assert pairs == expected_pairs and list(pairs) == list(expected_pairs)
+            assert multi == expected_multi
         rows = _interface_edges(mesh, part)
         expected_rows = sorted(
             (a, b, n1, n2)
@@ -705,6 +711,10 @@ class TestMeshLayer:
             (assign_interface_partition, _loop_assign_interface_partition, (seed,)),
         ):
             expected = _outcome(old, mesh, part, *args)
+            unused = _first_unused_node(mesh)
+            if unused is not None:  # the loop failed in min() or bincount
+                assert isinstance(expected, tuple)
+                expected = (ValueError, f"node {unused} belongs to no element")
             got = _outcome(new, mesh, part, *args)
             if isinstance(expected, tuple):
                 assert got == expected
@@ -792,10 +802,12 @@ class TestReadMesh:
 
 
 def _expected_read_mesh(path):
-    """The loop's outcome, except that a negative header count is now a line-1 error.
+    """The loop's outcome, except that a negative header count is now a line-1
+    error and a node no element uses is an error on its coordinate line.
 
     The loop ran into numpy's "negative dimensions" error or an IndexError on
-    such headers; every other input must still give the loop's outcome.
+    such headers, and returned a mesh with unused nodes; every other input
+    must still give the loop's outcome.
     """
     with open(path) as fh:
         head = fh.read().splitlines()[:1]
@@ -807,7 +819,17 @@ def _expected_read_mesh(path):
         if dim in (2, 3) and min(nn, ne) < 0:
             message = f"counts must be >= 0, got {nn} nodes and {ne} elements"
             return (FileFormatError, f"{path}:1: {message}")
-    return _outcome(_loop_read_mesh, path)
+    expected = _outcome(_loop_read_mesh, path)
+    unused = None if isinstance(expected, tuple) else _first_unused_node(expected)
+    if unused is not None:
+        return (FileFormatError, f"{path}:{unused + 2}: node {unused} belongs to no element")
+    return expected
+
+
+def _first_unused_node(mesh):
+    """The lowest node id no element lists, or None."""
+    unused = sorted(set(range(mesh.num_nodes)) - set(mesh.element_nodes.ravel().tolist()))
+    return unused[0] if unused else None
 
 
 def _same_mesh_outcome(expected, got):
@@ -903,10 +925,12 @@ def _fuzzed_id_bytes(rng, num_lines, big_ids=()):
 
 
 def _expected_read_ids(loop_reader, path, what):
-    """The loop's outcome, except that an id past int64 is now a bad line.
+    """The loop's outcome, except that an id past int64, or past the number of
+    ids in the file, is now a bad line.
 
-    The loop let such an id through to ``np.asarray``, which raised
-    ``OverflowError``, unless a later line was bad first.
+    The loop let such an id through: one past int64 to ``np.asarray``, which
+    raised ``OverflowError``, and a large one into ``num_parts`` or the
+    ownership counts, unless a later line was bad first.
     """
     bad_line = math.inf
     try:
@@ -917,18 +941,23 @@ def _expected_read_ids(loop_reader, path, what):
         expected = (type(exc), str(exc))
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if lineno >= bad_line:
-                    break
-                try:
-                    value = int(line.strip())
-                except ValueError:
-                    continue
-                if value >= 2**63:
-                    message = f"{what} id {value} does not fit in 64 bits"
-                    return (FileFormatError, f"{path}:{lineno}: {message}")
+            lines = list(fh)
     except UnicodeDecodeError:  # the loop raised the same error
-        pass
+        return expected
+    count = sum(1 for line in lines if line.strip())
+    for lineno, line in enumerate(lines, start=1):
+        if lineno >= bad_line:
+            break
+        try:
+            value = int(line.strip())
+        except ValueError:
+            continue
+        if value >= 2**63:
+            message = f"{what} id {value} does not fit in 64 bits"
+            return (FileFormatError, f"{path}:{lineno}: {message}")
+        if value > count:
+            message = f"{what} id {value} exceeds the file's id count {count}"
+            return (FileFormatError, f"{path}:{lineno}: {message}")
     return expected
 
 
@@ -1006,7 +1035,7 @@ class TestMainOnFuzzedFiles:
                     size = 5
                 num_lines = max(0, size + rng.choice([0, 0, 0, -1, 1]))
                 with open(path, "wb") as fh:
-                    fh.write(_fuzzed_id_bytes(rng, num_lines, [2**63, 2**64, -(2**63) - 1]))
+                    fh.write(_fuzzed_id_bytes(rng, num_lines, [3_000_000_000, 2**63 - 1, 2**63, 2**64, -(2**63) - 1]))
             np_, np2 = rng.randint(1, 6), rng.randint(1, 3)
             runs = [
                 ["assign-nodes", "--mesh", mesh, "--elem-part", elem_part,

@@ -12,6 +12,7 @@ from hierpart import (
     read_mesh,
     write_mesh,
 )
+from hierpart.mesh import node_to_parts
 
 
 class TestQuadGeneration:
@@ -198,3 +199,16 @@ def test_mesh_file_header_and_errors(tmp_path):
     p.write_text("2 4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 9\n")
     with pytest.raises(FileFormatError, match="out of range"):
         read_mesh(str(p))
+
+
+def test_unused_node_is_refused(tmp_path):
+    """A node no element uses: a format error naming its line in a file, a
+    ValueError for a mesh built in code."""
+    path = tmp_path / "m.txt"
+    path.write_text("2 5 1\n0 0\n1 0\n1 1\n0 1\n2 2\n0 1 2 3\n")
+    with pytest.raises(FileFormatError, match=r"m.txt:6: node 4 belongs to no element$"):
+        read_mesh(str(path))
+    mesh = Mesh(2, [[0, 1, 2, 3]], [[0, 0], [1, 0], [1, 1], [0, 1], [2, 2]])
+    assert dual_graph(mesh).num_vertices == 1  # the element graph needs no nodes
+    with pytest.raises(ValueError, match="^node 4 belongs to no element$"):
+        node_to_parts(mesh, Partition([0], 1))

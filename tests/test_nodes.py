@@ -5,6 +5,7 @@ import pytest
 
 from hierpart import (
     FileFormatError,
+    Mesh,
     NodeOwnership,
     Partition,
     assign_interface_partition,
@@ -22,6 +23,14 @@ def _strip_partition(nx, ny, cols_per_rank):
     """Vertical strips: element (i, j) belongs to rank i // cols_per_rank."""
     parts = [(e % nx) // cols_per_rank for e in range(nx * ny)]
     return Partition(np.array(parts), nx // cols_per_rank)
+
+
+@pytest.mark.parametrize("assign", [assign_lowest_rank, assign_parity, assign_interface_partition])
+def test_unused_node_is_refused(assign):
+    mesh = Mesh(2, [[0, 1, 2, 3]], [[0, 0], [1, 0], [1, 1], [0, 1], [2, 2]])
+    args = (0,) if assign is assign_interface_partition else ()
+    with pytest.raises(ValueError, match="^node 4 belongs to no element$"):
+        assign(mesh, Partition([0], 1), *args)
 
 
 class TestLowestRank:
