@@ -15,6 +15,7 @@ from hierpart import (
     discover_exchange,
     dual_graph,
     edge_cut,
+    extract_subgraph,
     generate_structured_quad,
     hierarchical_partition,
     partition_kway,
@@ -229,6 +230,22 @@ class TestHierarchicalPartition:
             p = hierarchical_partition(g, total, group, seed=5)
             assert p.num_parts == total
             assert p.part_sizes().min() >= 1
+
+    def test_stage_two_seeds_follow_the_group_id(self):
+        # A one-part remainder group leads, so the groups that run stage two
+        # (1 and 2) are not the first ones in the list of those that do.
+        g = dual_graph(generate_structured_quad(12, 12))
+        plan = compute_splits(9, 4)
+        assert plan.group_counts.tolist() == [1, 4, 4]
+        p1 = partition_kway(
+            g, plan.num_groups, plan.weights, seed=6, min_part_counts=plan.group_counts
+        )
+        final = hierarchical_partition(g, 9, 4, seed=6)
+        for group in (1, 2):
+            members = np.flatnonzero(p1.parts == group)
+            sub, _ = extract_subgraph(g, members)
+            local = partition_kway(sub, 4, TargetWeights.uniform(4), seed=6 ^ group)
+            assert np.array_equal(final.parts[members], plan.offsets[group] + local.parts)
 
     def test_cut_is_reported_consistently(self):
         g = dual_graph(generate_structured_quad(12, 12))
