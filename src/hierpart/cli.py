@@ -112,8 +112,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The file flags each command needs, in the order they are checked.
+_REQUIRED = {
+    "gen-mesh": ["out"],
+    "partition": ["out"],
+    "assign-nodes": ["mesh", "elem_part", "out"],
+    "report": ["mesh", "elem_part", "node_part"],
+    "compare": ["mesh"],
+}
+
+
 def _check_flags(args: argparse.Namespace) -> None:
-    """Reject out-of-range numeric flags before a command reads or writes anything."""
+    """Reject missing or out-of-range flags before a command reads or writes anything."""
     if getattr(args, "np", 1) < 1 or getattr(args, "np2", 1) < 1:
         raise ValueError("--np and --np2 must be >= 1")
     if not (0 <= getattr(args, "seed", 0) < 2**64):
@@ -121,6 +131,11 @@ def _check_flags(args: argparse.Namespace) -> None:
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
+    if args.command == "partition" and (args.graph is None) == (args.mesh is None):
+        raise ValueError("exactly one of --graph or --mesh is required")
+    for name in _REQUIRED[args.command]:
+        if not getattr(args, name):
+            raise ValueError(f"--{name.replace('_', '-')} is required for this command")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -131,21 +146,18 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _require(value: str | None, flag: str) -> str:
-    if not value:
-        raise ValueError(f"{flag} is required for this command")
-    return value
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if (args.graph is None) == (args.mesh is None):
-        raise ValueError("exactly one of --graph or --mesh is required")
     if args.graph is not None:
         return read_graph(args.graph)
     return dual_graph(read_mesh(args.mesh))
 
 
 def _compute_partition(graph: Graph, args: argparse.Namespace, method: str) -> Partition:
+    # Refused before anything is sized by --np.
+    if args.np > graph.num_vertices:
+        raise InfeasibleError(
+            f"cannot cut {graph.num_vertices} vertices into {args.np} nonempty parts"
+        )
     if method == "hierarch":
         return hierarchical_partition(graph, args.np, args.np2, args.seed, imbalance_tol=args.tol)
     return partition_kway(
@@ -158,14 +170,14 @@ def run_gen_mesh(args: argparse.Namespace) -> None:
         mesh = generate_structured_quad(args.nx, args.ny)
     else:
         mesh = generate_structured_hex(args.nx, args.ny, args.nz)
-    write_mesh(mesh, _require(args.out, "--out"))
+    write_mesh(mesh, args.out)
 
 
 def run_partition(args: argparse.Namespace) -> None:
     started = time.perf_counter()
     graph = _load_graph(args)
     partition = _compute_partition(graph, args, args.method)
-    write_partition(partition, _require(args.out, "--out"))
+    write_partition(partition, args.out)
     elapsed = time.perf_counter() - started
 
     sizes = partition.part_sizes()
@@ -188,15 +200,15 @@ def run_partition(args: argparse.Namespace) -> None:
 
 
 def run_assign_nodes(args: argparse.Namespace) -> None:
-    mesh = read_mesh(_require(args.mesh, "--mesh"))
-    partition = read_partition(_require(args.elem_part, "--elem-part"))
+    mesh = read_mesh(args.mesh)
+    partition = read_partition(args.elem_part)
     if len(partition.parts) != mesh.num_elements:
         raise ValueError(
             f"{args.elem_part} has {len(partition.parts)} entries but "
             f"{args.mesh} has {mesh.num_elements} elements"
         )
     ownership = _STRATEGIES[args.node_strategy](mesh, partition, args.seed)
-    write_ownership(ownership, _require(args.out, "--out"))
+    write_ownership(ownership, args.out)
 
 
 def _elem_ratio(partition: Partition) -> float:
@@ -249,11 +261,7 @@ def _format_table(header: list[str], rows: list[tuple], footer: list[str]) -> st
 
 
 def run_report(args: argparse.Namespace) -> None:
-    rows, global_cut, ratio, elem_ratio = _report_rows(
-        _require(args.mesh, "--mesh"),
-        _require(args.elem_part, "--elem-part"),
-        _require(args.node_part, "--node-part"),
-    )
+    rows, global_cut, ratio, elem_ratio = _report_rows(args.mesh, args.elem_part, args.node_part)
     if args.format == "csv":
         lines = ["pid,elems,nodes,edge_cuts,global_edge_cut,node_ratio,elem_ratio"]
         lines += [
@@ -277,7 +285,7 @@ def run_report(args: argparse.Namespace) -> None:
 
 
 def run_compare(args: argparse.Namespace) -> None:
-    mesh = read_mesh(_require(args.mesh, "--mesh"))
+    mesh = read_mesh(args.mesh)
     graph = dual_graph(mesh)
     rows = []
     for method in ("hierarch", "flat"):

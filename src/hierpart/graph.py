@@ -328,6 +328,8 @@ def read_graph(path: str) -> Graph:
         nv, ne = int(head[0]), int(head[1])
     except ValueError:
         raise FileFormatError(path, 1, "expected 'num_vertices num_edges'") from None
+    if nv < 0 or ne < 0:
+        raise FileFormatError(path, 1, f"counts must be >= 0, got {nv} vertices and {ne} edges")
     if len(raw) < nv + 1:
         raise FileFormatError(path, len(raw), f"expected {nv} adjacency lines")
 

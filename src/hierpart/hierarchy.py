@@ -202,7 +202,7 @@ def hierarchical_partition(
     stage two cuts each subgraph uniformly into that group's part count with a
     per-group seed (``seed ^ group``); the composed result has every final
     part nonempty. Stage-two groups may run side by side in forked workers
-    (see :func:`hierpart.kway._fork_join`); the result does not depend on it.
+    (see :func:`hierpart.kway._fork_map`); the result does not depend on it.
     """
     # Refuse a part count past the vertex count before compute_splits sizes
     # arrays by it; with group_size < 1, compute_splits' range error wins.
@@ -224,7 +224,7 @@ def hierarchical_partition(
     exchange = discover_exchange(layout, p1)
 
     # Groups of one part keep p2 = 0. The others are independent, so they run
-    # in lanes of about equal part count.
+    # in lanes of about equal vertex count.
     groups = np.flatnonzero(plan.group_counts > 1).tolist()
     members = [exchange.received(group) for group in groups]
 
@@ -240,8 +240,8 @@ def hierarchical_partition(
         ).parts
 
     p2 = np.zeros(g.num_vertices, dtype=np.int64)
-    counts = plan.group_counts[groups].tolist()
-    for ids, sub_parts in zip(members, _fork_map(stage2, range(len(groups)), counts)):
+    sizes = [len(ids) for ids in members]
+    for ids, sub_parts in zip(members, _fork_map(stage2, range(len(groups)), sizes)):
         p2[ids] = sub_parts
     max_group_parts = int(plan.group_counts.max())
     return compose_final(p1, Partition(p2, max_group_parts), plan)

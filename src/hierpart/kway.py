@@ -16,7 +16,6 @@ that schedule, so outputs do not either.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -63,6 +62,11 @@ _U = TypeVar("_U")
 _spare_cpus = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 ) - 1
+
+# Lane weight (vertices or interface nodes) below which _fork_map runs inline:
+# a fork/pipe/reap costs about 5 ms on a 2-vCPU host, and 4-part cuts with
+# lanes of up to 200 vertices ran faster inline than forked.
+_MIN_FORK_WEIGHT = 128
 
 
 class BalanceWindowWarning(UserWarning):
@@ -610,39 +614,47 @@ def _recurse(
     left_fraction = float(fractions[:mid].sum() / fractions.sum())
     min_counts = (int(mins[:mid].sum()), int(mins[mid:].sum()))
     sides = _multilevel_bisect(g, left_fraction, tol, seed, min_counts)
+    # A one-part half is labelled as it stands (0 left, mid right); only the
+    # halves that split again are extracted, side by side when both do.
+    parts = sides * mid
+    halves = [
+        (side, np.flatnonzero(sides == side), span)
+        for side, span in ((0, slice(None, mid)), (1, slice(mid, None)))
+        if len(fractions[span]) > 1
+    ]
 
-    def half(side: int, parts: slice) -> np.ndarray:
-        sub, _ = extract_subgraph(g, np.flatnonzero(sides == side))
-        return _recurse(sub, fractions[parts], mins[parts], derive_seed(seed, 3 + side), tol)
+    def half(item: tuple[int, np.ndarray, slice]) -> np.ndarray:
+        side, ids, span = item
+        sub, _ = extract_subgraph(g, ids)
+        return _recurse(sub, fractions[span], mins[span], derive_seed(seed, 3 + side), tol)
 
-    left = functools.partial(half, 0, slice(None, mid))
-    right = functools.partial(half, 1, slice(mid, None))
-    if k - mid >= 2:  # both halves bisect again: run them side by side
-        left_parts, right_parts = _fork_join(left, right)
-    else:
-        left_parts, right_parts = left(), right()
-    parts = np.empty(g.num_vertices, dtype=np.int64)
-    parts[sides == 0] = left_parts
-    parts[sides == 1] = right_parts + mid
+    for (_, ids, _), sub_parts in zip(halves, _fork_map(half, halves, [len(h[1]) for h in halves])):
+        parts[ids] += sub_parts
     return parts
 
 
-def _fork_join(left: Callable[[], _T], right: Callable[[], _U]) -> tuple[_T, _U]:
-    """``(left(), right())``, with ``left`` run in a forked child while a CPU is spare.
+def _fork_map(fn: Callable[[_T], _U], items: Sequence[_T], weights: Sequence[int]) -> list[_U]:
+    """``[fn(x) for x in items]``, cut into two lanes of about equal total weight
+    that run side by side: the first in a forked child, the second in the caller.
 
-    The child pickles its result, or the exception it raised, into a pipe and
-    leaves through ``os._exit``. The parent runs ``right`` meanwhile, then
-    reads the pipe; it reaps the child on every path, and kills it first if
-    ``right`` raises. Each fork spends one spare CPU and splits the rest
-    between the two sides. Without a spare CPU, without ``os.fork``, while
-    other Python threads run (they may hold locks the child would need, and
-    they share the budget), or when the fork fails, both callables run
-    inline, ``left`` first.
+    Each lane is cut the same way again while a CPU is spare. The child pickles
+    its lane's results, or the exception it raised, into a pipe and leaves
+    through ``os._exit``. The parent runs its own lane meanwhile, then reads
+    the pipe; it reaps the child on every path, and kills it first if its own
+    lane raises. Each fork spends one spare CPU and splits the rest between
+    the two sides. Everything runs inline, in item order, when either lane
+    would weigh less than ``_MIN_FORK_WEIGHT``, without a spare CPU, without
+    ``os.fork``, while other Python threads run (they may hold locks the
+    child would need, and they share the budget), or when the fork fails.
     """
     global _spare_cpus
     budget = _spare_cpus
-    if budget < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return left(), right()
+    if len(items) < 2 or budget < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    totals = list(itertools.accumulate(weights))
+    cut = min(range(1, len(items)), key=lambda i: abs(2 * totals[i - 1] - totals[-1]))
+    if min(totals[cut - 1], totals[-1] - totals[cut - 1]) < _MIN_FORK_WEIGHT:
+        return [fn(x) for x in items]
     child_share = (budget - 1) // 2
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
@@ -660,13 +672,13 @@ def _fork_join(left: Callable[[], _T], right: Callable[[], _U]) -> tuple[_T, _U]
         except OSError:  # no process to spare (EAGAIN, ENOMEM): run inline
             os.close(read_fd)
             os.close(write_fd)
-            return left(), right()
+            return [fn(x) for x in items]
     if pid == 0:
         try:
             os.close(read_fd)
             _spare_cpus = child_share
             try:
-                outcome = (True, left())
+                outcome = (True, _fork_map(fn, items[:cut], weights[:cut]))
             except BaseException as exc:
                 try:  # the parent raises a copy; not every exception class rebuilds from its args
                     outcome = (False, pickle.loads(pickle.dumps(exc)))
@@ -681,7 +693,7 @@ def _fork_join(left: Callable[[], _T], right: Callable[[], _U]) -> tuple[_T, _U]
     try:
         with os.fdopen(read_fd, "rb") as fh:
             try:
-                right_result = right()
+                right = _fork_map(fn, items[cut:], weights[cut:])
             except BaseException:
                 os.kill(pid, signal.SIGKILL)
                 raise
@@ -691,22 +703,7 @@ def _fork_join(left: Callable[[], _T], right: Callable[[], _U]) -> tuple[_T, _U]
         os.waitpid(pid, 0)
     if not data:
         raise ChildProcessError(f"forked worker {pid} exited without a result")
-    ok, left_result = pickle.loads(data)
+    ok, left = pickle.loads(data)
     if not ok:
-        raise left_result
-    return left_result, right_result
-
-
-def _fork_map(fn: Callable[[_T], _U], items: Sequence[_T], weights: Sequence[int]) -> list[_U]:
-    """``[fn(x) for x in items]``, cut into two lanes of about equal total weight
-    that run side by side through :func:`_fork_join`; each lane is cut the same
-    way again while a CPU is spare."""
-    if len(items) < 2 or _spare_cpus < 1:
-        return [fn(x) for x in items]
-    totals = list(itertools.accumulate(weights))
-    cut = min(range(1, len(items)), key=lambda i: abs(2 * totals[i - 1] - totals[-1]))
-    left, right = _fork_join(
-        lambda: _fork_map(fn, items[:cut], weights[:cut]),
-        lambda: _fork_map(fn, items[cut:], weights[cut:]),
-    )
+        raise left
     return left + right

@@ -137,15 +137,16 @@ def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int)
     edge_pairs = edges[:, 0] * num_ranks + edges[:, 1]
     node_pairs = a * num_ranks + b
     starts = np.flatnonzero(np.diff(node_pairs, prepend=-1))
-    pairs = list(zip(starts.tolist(), [*starts[1:].tolist(), len(nodes)]))
+    ends = np.append(starts[1:], len(nodes))
+    lone = starts[ends - starts == 1]
+    owner[nodes[lone]] = a[lone]  # a single-node interface goes to the lower rank
+    pairs = [(lo, hi) for lo, hi in zip(starts.tolist(), ends.tolist()) if hi - lo > 1]
 
     def bisect(pair: tuple[int, int]) -> np.ndarray:
         """Owning rank of each of the pair's members."""
         lo, hi = pair
         low, high = int(a[lo]), int(b[lo])
         members = nodes[lo:hi]  # ascending
-        if len(members) == 1:
-            return np.array([low])
         # Keep the pair's edges whose ends are both members; nodes touching
         # three or more ranks sit outside every pair.
         span = slice(*np.searchsorted(edge_pairs, [node_pairs[lo], node_pairs[lo] + 1]))
@@ -161,7 +162,7 @@ def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int)
         low_half = halves.parts[0]  # members[0] is the smallest node id
         return np.where(halves.parts == low_half, low, high)
 
-    # The pairs are independent, so they run in lanes of about equal node count.
+    # The other pairs are independent, so they run in lanes of about equal node count.
     for (lo, hi), pair_owner in zip(pairs, _fork_map(bisect, pairs, [hi - lo for lo, hi in pairs])):
         owner[nodes[lo:hi]] = pair_owner
     _assign_multi_rank_greedy(owner, offsets, parts, num_ranks)

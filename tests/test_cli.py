@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hierpart import read_mesh, read_partition
+from hierpart import cli, read_mesh, read_partition
 from hierpart.cli import main
 
 
@@ -254,6 +254,47 @@ class TestExitCodes:
         assert run(command, "--mesh", mesh, *files) == 4
         assert f"{bad_file}:2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["partition", "assign-nodes", "gen-mesh"])
+    def test_missing_out_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        mesh, part = tmp_path / "m.txt", tmp_path / "p.txt"
+        run("gen-mesh", "--nx", 4, "--ny", 4, "--out", mesh)
+        part.write_text("0\n" * 16)
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        for name in ("read_mesh", "read_partition", "partition_kway", "hierarchical_partition",
+                     "generate_structured_quad"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli, "_STRATEGIES", dict.fromkeys(cli._STRATEGIES, refuse))
+        before = sorted(tmp_path.iterdir())
+        argv = {
+            "partition": ["--mesh", mesh, "--np", 8, "--np2", 4],
+            "assign-nodes": ["--mesh", mesh, "--elem-part", part],
+            "gen-mesh": ["--nx", 2, "--ny", 2],
+        }[command]
+        assert run(command, *argv) == 2
+        assert capsys.readouterr() == ("", "error: --out is required for this command\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("method", ["flat", "hierarch"])
+    def test_part_count_past_the_vertices_is_3_before_sizing(self, tmp_path, capsys, method):
+        # numpy refuses an array of 2**62 entries without allocating it.
+        graph, out = tmp_path / "g.txt", tmp_path / "p.txt"
+        graph.write_text("2 1\n2\n1\n")
+        assert run("partition", "--graph", graph, "--method", method, "--np", 2**62, "--out", out) == 3
+        assert capsys.readouterr().err == f"error: cannot cut 2 vertices into {2**62} nonempty parts\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["-1 0", "2 -1"])
+    def test_negative_graph_header_is_4_with_line(self, tmp_path, capsys, header):
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"{header}\n2\n1\n")
+        assert run("partition", "--graph", graph, "--out", tmp_path / "p.txt") == 4
+        nv, ne = header.split()
+        message = f"error: {graph}:1: counts must be >= 0, got {nv} vertices and {ne} edges\n"
+        assert capsys.readouterr().err == message
 
     # A 1-quad mesh whose fifth node belongs to no element.
     UNUSED_NODE_MESH = "2 5 1\n0 0\n1 0\n1 1\n0 1\n2 2\n0 1 2 3\n"

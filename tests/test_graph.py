@@ -171,6 +171,15 @@ def test_read_graph_errors(tmp_path):
         read_graph(str(p))
 
 
+@pytest.mark.parametrize("header, nv, ne", [("-1 0", -1, 0), ("2 -1", 2, -1)])
+def test_read_graph_refuses_negative_counts(tmp_path, header, nv, ne):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"{header}\n2\n1\n")
+    message = rf"^.*bad\.txt:1: counts must be >= 0, got {nv} vertices and {ne} edges$"
+    with pytest.raises(FileFormatError, match=message):
+        read_graph(str(p))
+
+
 def test_partition_file_round_trip(tmp_path):
     path = str(tmp_path / "p.txt")
     part = Partition([0, 2, 1, 2], 3)
