@@ -1,11 +1,9 @@
 """Command-line front end: mesh generation, partitioning, node assignment, reports.
 
-Commands:
-  gen-mesh      write a structured quad/hex mesh file
-  partition     partition a graph (or a mesh's dual graph) and write part ids
-  assign-nodes  derive node ownership from an element partition
-  report        per-rank table: pid, elems, nodes, edge-cuts (+ global footer)
-  compare       same mesh under both methods and all three node strategies
+Each command and each flag is declared once, in two tables: ``_COMMANDS`` gives
+a command's runner, help, flags and required file flags, and ``_FLAGS`` gives a
+flag's argparse keywords. The parser, the required-flag check and the dispatch
+in ``main`` all read them; ``hierpart --help`` lists the commands.
 
 All randomness flows from --seed; identical flags give byte-identical output
 files (summaries on stdout additionally show wall time, which of course
@@ -22,6 +20,7 @@ import math
 import sys
 import time
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,9 @@ from .graph import (
 )
 from .hierarchy import hierarchical_partition
 from .kway import TargetWeights, partition_kway
-from .mesh import dual_graph, generate_structured_hex, generate_structured_quad, read_mesh, write_mesh
+from .mesh import (
+    Mesh, dual_graph, generate_structured_hex, generate_structured_quad, read_mesh, write_mesh,
+)
 from .nodes import (
     NodeOwnership,
     assign_interface_partition,
@@ -58,68 +59,39 @@ _STRATEGIES = {
 }
 
 
+# Each flag's argparse keywords, keyed by its name after "--".
+_FLAGS = {
+    "nx": dict(type=int, required=True),
+    "ny": dict(type=int, required=True),
+    "nz": dict(type=int, help="if given, a hex mesh is produced"),
+    "mesh": dict(help="mesh file"),
+    "graph": dict(help="graph file"),
+    "elem-part": dict(help="element partition file"),
+    "node-part": dict(help="node ownership file"),
+    "np": dict(type=int, default=1, help="total part count"),
+    "np2": dict(type=int, default=1, help="parts per first-level group (cores per node)"),
+    "method": dict(choices=["hierarch", "flat"], default="hierarch"),
+    "node-strategy": dict(choices=sorted(_STRATEGIES), default="lowest-rank"),
+    "seed": dict(type=int, default=0),
+    "tol": dict(
+        type=float,
+        default=0.03,
+        help="imbalance tolerance; a k-part cut gives each bisection tol / ceil(log2 k), "
+        "and hierarch does so in each of its two stages",
+    ),
+    "out": dict(help="output path (default: stdout)"),
+    "format": dict(choices=["text", "csv"], default="text"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hierpart", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *names: str) -> None:
-        flags = {
-            "np": lambda: p.add_argument("--np", type=int, default=1, help="total part count"),
-            "np2": lambda: p.add_argument(
-                "--np2", type=int, default=1, help="parts per first-level group (cores per node)"
-            ),
-            "method": lambda: p.add_argument(
-                "--method", choices=["hierarch", "flat"], default="hierarch"
-            ),
-            "strategy": lambda: p.add_argument(
-                "--node-strategy", choices=sorted(_STRATEGIES), default="lowest-rank"
-            ),
-            "seed": lambda: p.add_argument("--seed", type=int, default=0),
-            "tol": lambda: p.add_argument(
-                "--tol",
-                type=float,
-                default=0.03,
-                help="imbalance tolerance; a k-part cut gives each bisection tol / ceil(log2 k), "
-                "and hierarch does so in each of its two stages",
-            ),
-            "mesh": lambda: p.add_argument("--mesh", help="mesh file"),
-            "graph": lambda: p.add_argument("--graph", help="graph file"),
-            "elem-part": lambda: p.add_argument("--elem-part", help="element partition file"),
-            "node-part": lambda: p.add_argument("--node-part", help="node ownership file"),
-            "out": lambda: p.add_argument("--out", help="output path (default: stdout)"),
-            "format": lambda: p.add_argument("--format", choices=["text", "csv"], default="text"),
-        }
-        for n in names:
-            flags[n]()
-
-    p = sub.add_parser("gen-mesh", help="write a structured quad/hex mesh")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny", type=int, required=True)
-    p.add_argument("--nz", type=int, default=None, help="if given, a hex mesh is produced")
-    common(p, "out")
-
-    p = sub.add_parser("partition", help="partition a graph or a mesh's dual graph")
-    common(p, "mesh", "graph", "np", "np2", "method", "seed", "tol", "out", "format")
-
-    p = sub.add_parser("assign-nodes", help="derive node ownership from an element partition")
-    common(p, "mesh", "elem-part", "strategy", "seed", "out")
-
-    p = sub.add_parser("report", help="per-rank elems/nodes/edge-cuts table")
-    common(p, "mesh", "elem-part", "node-part", "out", "format")
-
-    p = sub.add_parser("compare", help="all methods × node strategies on one mesh")
-    common(p, "mesh", "np", "np2", "seed", "tol", "out", "format")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
-
-
-# The file flags each command needs, in the order they are checked.
-_REQUIRED = {
-    "gen-mesh": ["out"],
-    "partition": ["out"],
-    "assign-nodes": ["mesh", "elem_part", "out"],
-    "report": ["mesh", "elem_part", "node_part"],
-    "compare": ["mesh"],
-}
 
 
 def _check_flags(args: argparse.Namespace) -> None:
@@ -133,23 +105,21 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
     if args.command == "partition" and (args.graph is None) == (args.mesh is None):
         raise ValueError("exactly one of --graph or --mesh is required")
-    for name in _REQUIRED[args.command]:
-        if not getattr(args, name):
-            raise ValueError(f"--{name.replace('_', '-')} is required for this command")
+    for flag in _COMMANDS[args.command].required.split():
+        if not getattr(args, flag.replace("-", "_")):
+            raise ValueError(f"--{flag} is required for this command")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _load_graph(args: argparse.Namespace) -> Graph:
-    if args.graph is not None:
-        return read_graph(args.graph)
-    return dual_graph(read_mesh(args.mesh))
+def _read_elements(args: argparse.Namespace) -> tuple[Mesh, Partition]:
+    """The --mesh and its --elem-part, refused when their lengths differ."""
+    mesh = read_mesh(args.mesh)
+    partition = read_partition(args.elem_part)
+    if len(partition.parts) != mesh.num_elements:
+        raise ValueError(
+            f"{args.elem_part} has {len(partition.parts)} entries but "
+            f"{args.mesh} has {mesh.num_elements} elements"
+        )
+    return mesh, partition
 
 
 def _compute_partition(graph: Graph, args: argparse.Namespace, method: str) -> Partition:
@@ -165,6 +135,31 @@ def _compute_partition(graph: Graph, args: argparse.Namespace, method: str) -> P
     )
 
 
+def _emit_rows(
+    args: argparse.Namespace, csv_header: str, text_header: list[str], rows: list, footer: list
+) -> None:
+    """Write rows to --out (default stdout) as --format CSV or a right-aligned table.
+
+    ``footer`` holds (label, value) pairs that hold for every row: CSV repeats
+    the values at the end of each row, the table lists them below itself with
+    each label padded to 15 columns.
+    """
+    cells = [[str(c) for c in row] for row in rows]
+    if args.format == "csv":
+        tail = [value for _, value in footer]
+        lines = [csv_header] + [",".join(row + tail) for row in cells]
+    else:
+        widths = [max([len(h)] + [len(r[i]) for r in cells]) for i, h in enumerate(text_header)]
+        lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in [text_header, *cells]]
+        lines += [f"{label:<15}{value}" for label, value in footer]
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+
+
 def run_gen_mesh(args: argparse.Namespace) -> None:
     if args.nz is None:
         mesh = generate_structured_quad(args.nx, args.ny)
@@ -175,7 +170,7 @@ def run_gen_mesh(args: argparse.Namespace) -> None:
 
 def run_partition(args: argparse.Namespace) -> None:
     started = time.perf_counter()
-    graph = _load_graph(args)
+    graph = read_graph(args.graph) if args.graph is not None else dual_graph(read_mesh(args.mesh))
     partition = _compute_partition(graph, args, args.method)
     write_partition(partition, args.out)
     elapsed = time.perf_counter() - started
@@ -200,13 +195,7 @@ def run_partition(args: argparse.Namespace) -> None:
 
 
 def run_assign_nodes(args: argparse.Namespace) -> None:
-    mesh = read_mesh(args.mesh)
-    partition = read_partition(args.elem_part)
-    if len(partition.parts) != mesh.num_elements:
-        raise ValueError(
-            f"{args.elem_part} has {len(partition.parts)} entries but "
-            f"{args.mesh} has {mesh.num_elements} elements"
-        )
+    mesh, partition = _read_elements(args)
     ownership = _STRATEGIES[args.node_strategy](mesh, partition, args.seed)
     write_ownership(ownership, args.out)
 
@@ -221,22 +210,14 @@ def _elem_ratio(partition: Partition) -> float:
     return balance_stats(sizes).max_over_min
 
 
-def _report_rows(
-    mesh_path: str, elem_part_path: str, node_part_path: str
-) -> tuple[list[tuple[int, int, int, int]], int, float, float]:
+def _report_rows(args: argparse.Namespace) -> tuple[list[tuple], int, float, float]:
     """Rows (pid, elems, nodes, edge_cuts) plus global cut, NR, elem max/min."""
-    mesh = read_mesh(mesh_path)
-    partition = read_partition(elem_part_path)
-    if len(partition.parts) != mesh.num_elements:
-        raise ValueError(
-            f"{elem_part_path} has {len(partition.parts)} entries but "
-            f"{mesh_path} has {mesh.num_elements} elements"
-        )
-    ownership = read_ownership(node_part_path)
+    mesh, partition = _read_elements(args)
+    ownership = read_ownership(args.node_part)
     if len(ownership.owner) != mesh.num_nodes:
         raise ValueError(
-            f"{node_part_path} has {len(ownership.owner)} entries but "
-            f"{mesh_path} has {mesh.num_nodes} nodes"
+            f"{args.node_part} has {len(ownership.owner)} entries but "
+            f"{args.mesh} has {mesh.num_nodes} nodes"
         )
     num_ranks = max(partition.num_parts, ownership.num_ranks)
     partition = Partition(partition.parts, num_ranks)
@@ -252,36 +233,19 @@ def _report_rows(
     return rows, global_cut, node_ratio(ownership), _elem_ratio(partition)
 
 
-def _format_table(header: list[str], rows: list[tuple], footer: list[str]) -> str:
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [max([len(h)] + [len(r[i]) for r in cells]) for i, h in enumerate(header)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
-    return "\n".join(lines + footer) + "\n"
-
-
 def run_report(args: argparse.Namespace) -> None:
-    rows, global_cut, ratio, elem_ratio = _report_rows(args.mesh, args.elem_part, args.node_part)
-    if args.format == "csv":
-        lines = ["pid,elems,nodes,edge_cuts,global_edge_cut,node_ratio,elem_ratio"]
-        lines += [
-            f"{pid},{e},{n},{c},{global_cut},{ratio:.6f},{elem_ratio:.6f}"
-            for pid, e, n, c in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(
-            _format_table(
-                ["pid", "elems", "nodes", "edge-cuts"],
-                rows,
-                [
-                    f"edge cut:      {global_cut}",
-                    f"NR:            {ratio:.6f}",
-                    f"elem max/min:  {elem_ratio:.6f}",
-                ],
-            ),
-            args.out,
-        )
+    rows, global_cut, ratio, elem_ratio = _report_rows(args)
+    _emit_rows(
+        args,
+        "pid,elems,nodes,edge_cuts,global_edge_cut,node_ratio,elem_ratio",
+        ["pid", "elems", "nodes", "edge-cuts"],
+        rows,
+        [
+            ("edge cut:", str(global_cut)),
+            ("NR:", f"{ratio:.6f}"),
+            ("elem max/min:", f"{elem_ratio:.6f}"),
+        ],
+    )
 
 
 def run_compare(args: argparse.Namespace) -> None:
@@ -291,48 +255,53 @@ def run_compare(args: argparse.Namespace) -> None:
     for method in ("hierarch", "flat"):
         partition = _compute_partition(graph, args, method)
         cut = edge_cut(graph, partition)
-        elem_ratio = _elem_ratio(partition)
+        elem_ratio = f"{_elem_ratio(partition):.6f}"
         for strategy in sorted(_STRATEGIES):
             ownership = _STRATEGIES[strategy](mesh, partition, args.seed)
-            rows.append(
-                (
-                    method,
-                    strategy,
-                    args.np,
-                    args.np2,
-                    args.seed,
-                    cut,
-                    node_ratio(ownership),
-                    elem_ratio,
-                )
-            )
-    if args.format == "csv":
-        lines = ["method,node_strategy,np,np2,seed,edge_cut,node_ratio,elem_ratio"]
-        lines += [
-            f"{m},{s},{n},{n2},{sd},{c},{nr:.6f},{er:.6f}"
-            for m, s, n, n2, sd, c, nr, er in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(
-            _format_table(
-                ["method", "strategy", "np", "np2", "seed", "edge-cut", "NR", "elem-ratio"],
-                [
-                    (m, s, n, n2, sd, c, f"{nr:.6f}", f"{er:.6f}")
-                    for m, s, n, n2, sd, c, nr, er in rows
-                ],
-                [],
-            ),
-            args.out,
-        )
+            ratio = f"{node_ratio(ownership):.6f}"
+            rows.append((method, strategy, args.np, args.np2, args.seed, cut, ratio, elem_ratio))
+    _emit_rows(
+        args,
+        "method,node_strategy,np,np2,seed,edge_cut,node_ratio,elem_ratio",
+        ["method", "strategy", "np", "np2", "seed", "edge-cut", "NR", "elem-ratio"],
+        rows,
+        [],
+    )
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], None]
+    help: str
+    flags: str  # names in _FLAGS, in --help order
+    required: str  # file flags refused when missing, in check order
 
 
 _COMMANDS = {
-    "gen-mesh": run_gen_mesh,
-    "partition": run_partition,
-    "assign-nodes": run_assign_nodes,
-    "report": run_report,
-    "compare": run_compare,
+    "gen-mesh": _Command(run_gen_mesh, "write a structured quad/hex mesh", "nx ny nz out", "out"),
+    "partition": _Command(
+        run_partition,
+        "partition a graph or a mesh's dual graph",
+        "mesh graph np np2 method seed tol out format",
+        "out",
+    ),
+    "assign-nodes": _Command(
+        run_assign_nodes,
+        "derive node ownership from an element partition",
+        "mesh elem-part node-strategy seed out",
+        "mesh elem-part out",
+    ),
+    "report": _Command(
+        run_report,
+        "per-rank elems/nodes/edge-cuts table",
+        "mesh elem-part node-part out format",
+        "mesh elem-part node-part",
+    ),
+    "compare": _Command(
+        run_compare,
+        "all methods × node strategies on one mesh",
+        "mesh np np2 seed tol out format",
+        "mesh",
+    ),
 }
 
 
@@ -340,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        _COMMANDS[args.command](args)
+        _COMMANDS[args.command].run(args)
     except (OSError, InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (FileFormatError, OSError)):

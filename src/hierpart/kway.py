@@ -94,6 +94,8 @@ class TargetWeights:
         self.fractions = np.asarray(self.fractions, dtype=np.float64)
         if self.fractions.ndim != 1 or len(self.fractions) == 0:
             raise ValueError("fractions must be a non-empty vector")
+        if not np.isfinite(self.fractions).all():
+            raise ValueError("target fractions must be finite")
         if self.fractions.min() <= 0:
             raise ValueError("all target fractions must be positive")
         if abs(float(self.fractions.sum()) - 1.0) > 1e-12:
@@ -133,6 +135,8 @@ def heavy_edge_match(g: Graph, seed: int, order: Sequence[int] | None = None) ->
         random.Random(seed).shuffle(visit)
     else:
         visit = [int(v) for v in order]
+        if any(not 0 <= v < nv for v in visit):
+            raise ValueError(f"order holds a vertex id outside [0, {nv})")
     # Sequential by contract (the visit order decides the matching), so it
     # walks Python lists taken once from the CSR arrays.
     offsets = g.adjacency_offsets.tolist()
@@ -208,6 +212,8 @@ def initial_bisection(
         raise ValueError("target_fraction must lie in (0, 1)")
     if start is None:
         start = random.Random(seed).randrange(nv)
+    elif not 0 <= start < nv:
+        raise ValueError(f"start vertex {start} is outside [0, {nv})")
     threshold = target_fraction * g.total_vertex_weight
 
     parts = np.ones(nv, dtype=np.int64)

@@ -42,7 +42,7 @@ def test_partition_single_part_writes_zeros(tmp_path):
     part = tmp_path / "p.txt"
     run("gen-mesh", "--nx", 3, "--ny", 1, "--out", mesh)
     assert run("partition", "--mesh", mesh, "--np", 1, "--out", part) == 0
-    assert open(part).read() == "0\n0\n0\n"
+    assert part.read_text() == "0\n0\n0\n"
 
 
 def test_partition_csv_summary(tmp_path, capsys):
@@ -69,7 +69,7 @@ def test_report_two_element_strip(tmp_path, capsys):
             "--node-strategy", "lowest-rank", "--out", npart)
         == 0
     )
-    assert open(npart).read() == "0\n0\n1\n0\n0\n1\n"
+    assert npart.read_text() == "0\n0\n1\n0\n0\n1\n"
     assert run("report", "--mesh", mesh, "--elem-part", epart, "--node-part", npart) == 0
     text = capsys.readouterr().out
     lines = [ln.split() for ln in text.splitlines()]
@@ -254,9 +254,25 @@ class TestExitCodes:
         assert run(command, "--mesh", mesh, *files) == 4
         assert f"{bad_file}:2: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["partition", "assign-nodes", "gen-mesh"])
-    def test_missing_out_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
-        mesh, part = tmp_path / "m.txt", tmp_path / "p.txt"
+    @pytest.mark.parametrize(
+        "command, omitted",
+        [
+            ("gen-mesh", "out"),
+            ("partition", "out"),
+            ("assign-nodes", "mesh"),
+            ("assign-nodes", "elem-part"),
+            ("assign-nodes", "out"),
+            ("report", "mesh"),
+            ("report", "elem-part"),
+            ("report", "node-part"),
+            ("compare", "mesh"),
+            ("assign-nodes", "out+elem-part+mesh"),
+        ],
+    )
+    def test_missing_required_flag_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, omitted
+    ):
+        mesh, part, out = tmp_path / "m.txt", tmp_path / "p.txt", tmp_path / "o.txt"
         run("gen-mesh", "--nx", 4, "--ny", 4, "--out", mesh)
         part.write_text("0\n" * 16)
         capsys.readouterr()
@@ -269,13 +285,18 @@ class TestExitCodes:
             monkeypatch.setattr(cli, name, refuse)
         monkeypatch.setattr(cli, "_STRATEGIES", dict.fromkeys(cli._STRATEGIES, refuse))
         before = sorted(tmp_path.iterdir())
-        argv = {
-            "partition": ["--mesh", mesh, "--np", 8, "--np2", 4],
-            "assign-nodes": ["--mesh", mesh, "--elem-part", part],
-            "gen-mesh": ["--nx", 2, "--ny", 2],
+        flags = {
+            "gen-mesh": {"nx": 2, "ny": 2, "out": out},
+            "partition": {"mesh": mesh, "np": 8, "np2": 4, "out": out},
+            "assign-nodes": {"mesh": mesh, "elem-part": part, "out": out},
+            "report": {"mesh": mesh, "elem-part": part, "node-part": part},
+            "compare": {"mesh": mesh, "np": 8, "np2": 4},
         }[command]
+        argv = [a for f, v in flags.items() if f not in omitted.split("+") for a in (f"--{f}", v)]
         assert run(command, *argv) == 2
-        assert capsys.readouterr() == ("", "error: --out is required for this command\n")
+        # With all three missing, the error names the first in the command table's order.
+        named = "mesh" if "+" in omitted else omitted
+        assert capsys.readouterr() == ("", f"error: --{named} is required for this command\n")
         assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("method", ["flat", "hierarch"])
@@ -344,4 +365,4 @@ def test_graph_input_matches_mesh_dual(tmp_path):
     p1, p2 = tmp_path / "p1.txt", tmp_path / "p2.txt"
     assert run("partition", "--mesh", mesh_path, "--np", 4, "--seed", 2, "--out", p1) == 0
     assert run("partition", "--graph", graph_path, "--np", 4, "--seed", 2, "--out", p2) == 0
-    assert open(p1).read() == open(p2).read()
+    assert p1.read_text() == p2.read_text()

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_graph_file_first_line():
     os.close(fd)
     try:
         write_graph(g, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
     finally:
         os.unlink(path)
     assert lines[0] == "3 2"
@@ -184,7 +185,7 @@ def test_partition_file_round_trip(tmp_path):
     path = str(tmp_path / "p.txt")
     part = Partition([0, 2, 1, 2], 3)
     write_partition(part, path)
-    assert open(path).read() == "0\n2\n1\n2\n"
+    assert Path(path).read_text() == "0\n2\n1\n2\n"
     again = read_partition(path)
     assert np.array_equal(again.parts, part.parts)
     assert again.num_parts == 3

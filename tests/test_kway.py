@@ -42,6 +42,12 @@ def test_target_weights_validation():
         TargetWeights.uniform(0)
 
 
+@pytest.mark.parametrize("fractions", [[float("nan"), 1.0], [0.5, 0.5, float("nan")]])
+def test_target_weights_refuse_non_finite(fractions):
+    with pytest.raises(ValueError, match="finite"):
+        TargetWeights(fractions)
+
+
 def test_derive_seed_is_deterministic_and_spreads():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
@@ -63,6 +69,12 @@ class TestHeavyEdgeMatch:
     def test_single_vertex(self):
         g = build_graph([], 1)
         assert heavy_edge_match(g, seed=4).tolist() == [0]
+
+    @pytest.mark.parametrize("order", [[99], [0, -1]])
+    def test_order_outside_the_vertices_is_refused(self, order):
+        g = build_graph([(0, 1, 1), (1, 2, 1)], 3)
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            heavy_edge_match(g, seed=0, order=order)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -138,6 +150,11 @@ class TestInitialBisection:
             initial_bisection(path4, 0.0, seed=0)
         with pytest.raises(ValueError):
             initial_bisection(path4, 1.0, seed=0)
+
+    @pytest.mark.parametrize("start", [-1, 4])
+    def test_start_outside_the_vertices_is_refused(self, path4, start):
+        with pytest.raises(ValueError, match=rf"start vertex {start} is outside \[0, 4\)"):
+            initial_bisection(path4, 0.5, seed=0, start=start)
 
 
 class TestFMRefine:

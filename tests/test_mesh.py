@@ -182,7 +182,7 @@ def test_mesh_file_round_trip(tmp_path):
 def test_mesh_file_header_and_errors(tmp_path):
     p = tmp_path / "m.txt"
     write_mesh(generate_structured_quad(1, 1), str(p))
-    assert open(p).read().splitlines()[0] == "2 4 1"
+    assert p.read_text().splitlines()[0] == "2 4 1"
 
     p.write_text("")
     with pytest.raises(FileFormatError):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_ownership_file_round_trip(tmp_path):
     own = NodeOwnership.from_owner(np.array([0, 1, 1, 0, 2]), 3)
     path = str(tmp_path / "own.txt")
     write_ownership(own, path)
-    assert open(path).read() == "0\n1\n1\n0\n2\n"
+    assert Path(path).read_text() == "0\n1\n1\n0\n2\n"
     again = read_ownership(path)
     assert np.array_equal(again.owner, own.owner)
     assert again.counts.tolist() == own.counts.tolist()
