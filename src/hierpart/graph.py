@@ -7,6 +7,7 @@ stays exact.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -309,9 +310,9 @@ def balance_stats(sizes: Sequence[int]) -> BalanceStats:
 
 
 def write_graph(graph: Graph, path: str) -> None:
+    bounds, ids = graph.adjacency_offsets.tolist(), (graph.adjacency_list + 1).tolist()
     lines = [f"{graph.num_vertices} {graph.num_edges}"]
-    for v in range(graph.num_vertices):
-        lines.append(" ".join(str(int(u) + 1) for u in graph.neighbors(v)))
+    lines += [" ".join(map(str, ids[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -366,24 +367,45 @@ def _write_ids(ids: np.ndarray, path: str) -> None:
         fh.write(text + "\n" if text else "")
 
 
+def _loadtxt_rows(lines: list[str], dtype, width: int, bound: int | None = None):
+    """``lines`` as a ``(len(lines), width)`` array read by numpy's C text reader, or None.
+
+    The array is returned only when every line is ASCII, the reader raises no
+    error and no warning, every line gives one row of ``width`` values and,
+    when ``bound`` is given, every value lies in ``[0, bound)``. On ASCII text
+    the reader splits lines as ``str.split`` does and converts what it accepts
+    to the value ``int`` or ``float`` gives, but it refuses some numbers they
+    accept (``1_0``) and skips blank lines. A None sends the caller to its line
+    walker, which converts with ``int``/``float`` and names the first bad line.
+    """
+    if not all(map(str.isascii, lines)):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "input contained no data", deprecations
+        try:
+            values = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    in_range = bound is None or not values.size or (values.min() >= 0 and values.max() < bound)
+    return values if values.shape == (len(lines), width) and in_range else None
+
+
 def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
     """The ids of a one-id-per-line file, blank lines skipped.
 
     Lines are split as iterating over the file splits them, and each line is
     stripped before ``int`` converts it. An id lies from 0 up to the number
     of ids in the file, inclusive, so that arrays sized by the largest id
-    stay proportional to the file. The whole file is converted in one pass; only
-    a file that fails is walked line by line to name its first bad line.
-    ``kind`` names the file and ``what`` its ids in error messages.
+    stay proportional to the file. Only a file :func:`_loadtxt_rows` refuses is
+    walked line by line, to convert its ids with ``int`` or name its first bad
+    line. ``kind`` names the file and ``what`` its ids in error messages.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
     tokens = [token for token in map(str.strip, lines) if token]
-    try:
-        ids = np.fromiter(map(int, tokens), np.int64, len(tokens))
-    except (ValueError, OverflowError):  # OverflowError: an id past int64
-        ids = None
-    if ids is None or (len(ids) and (ids.min() < 0 or ids.max() > len(ids))):
+    rows = _loadtxt_rows(tokens, np.int64, 1, len(tokens) + 1)
+    if rows is None:
+        rows = []
         for lineno, line in enumerate(lines, start=1):
             token = line.strip()
             if not token:
@@ -400,6 +422,8 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
                 raise FileFormatError(
                     path, lineno, f"{what} id {value} exceeds the file's id count {len(tokens)}"
                 )
+            rows.append(value)
+    ids = np.asarray(rows, dtype=np.int64).reshape(-1)
     if not len(ids):
         raise FileFormatError(path, 1, f"empty {kind} file")
     return ids

@@ -7,12 +7,11 @@ elements, so every small example can be enumerated by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import FileFormatError
-from .graph import Graph, Partition, build_graph
+from .graph import Graph, Partition, _loadtxt_rows, build_graph
 
 __all__ = [
     "Mesh",
@@ -219,12 +218,7 @@ def write_mesh(mesh: Mesh, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# Lines are parsed in blocks: each block is tokenized and converted in one pass,
-# and only a block that fails is re-read line by line, exactly as a per-line
-# parser would, to name its first bad line. Small blocks keep the token lists,
-# and the heap they fragment, small: at 1,024 lines peak memory stays within a
-# few percent of a line-by-line parse, where 4,096 lines cost about 8%.
-_BLOCK_LINES = 1024
+# A section numpy's C reader refuses is walked line by line, to convert it or name its bad line.
 
 
 def _parse_rows(
@@ -239,16 +233,10 @@ def _parse_rows(
     """
     width = out.shape[1]
     lines = raw[first:first + len(out)]
-    rows = [line.split() for line in lines]
-    if set(map(len, rows)) == {width}:
-        try:
-            values = np.fromiter(map(convert, chain.from_iterable(rows)), out.dtype)
-        except (ValueError, OverflowError):  # OverflowError: beyond int64, so out of range
-            pass
-        else:
-            if bound is None or (values.min() >= 0 and values.max() < bound):
-                out[:] = values.reshape(-1, width)
-                return
+    values = _loadtxt_rows(lines, out.dtype, width, bound)
+    if values is not None:
+        out[:] = values
+        return
     for i, line in enumerate(lines):
         lineno = first + i + 1
         tokens = line.split()
@@ -283,13 +271,9 @@ def read_mesh(path: str) -> Mesh:
         raise FileFormatError(path, len(raw), f"expected {nn} coordinate and {ne} element lines")
 
     coords = np.empty((nn, dim), dtype=np.float64)
-    for lo in range(0, nn, _BLOCK_LINES):
-        block = coords[lo:lo + _BLOCK_LINES]
-        _parse_rows(path, raw, 1 + lo, block, float, "coordinates", "bad coordinate value")
+    _parse_rows(path, raw, 1, coords, float, "coordinates", "bad coordinate value")
     elems = np.empty((ne, 4 if dim == 2 else 8), dtype=np.int64)
-    for lo in range(0, ne, _BLOCK_LINES):
-        block = elems[lo:lo + _BLOCK_LINES]
-        _parse_rows(path, raw, 1 + nn + lo, block, int, "node ids", "bad node id", nn)
+    _parse_rows(path, raw, 1 + nn, elems, int, "node ids", "bad node id", nn)
     try:
         mesh = Mesh(dim, elems, coords)
     except ValueError as exc:

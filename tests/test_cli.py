@@ -1,5 +1,7 @@
 """End-to-end command-line checks, run in-process through main()."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,46 @@ class TestExitCodes:
         what = "part" if bad_file == "p.txt" else "rank"
         message = f"{bad_file}:2: {what} id {big} exceeds the file's id count 2\n"
         assert capsys.readouterr().err.endswith(message)
+
+    BLANK_COORDS_MESH = "2 6 2\n  \n\t\n \n \n \t \n \n0 1 4 3\n1 2 5 4\n"
+    FLOAT_ID_MESH = "2 6 2\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n1.0 2 3 4\n1 2 5 4\n"
+
+    @pytest.mark.parametrize(
+        "command, bad_file, text, message",
+        [
+            ("assign-nodes", "m.txt", BLANK_COORDS_MESH, "2: expected 2 coordinates"),
+            ("report", "m.txt", BLANK_COORDS_MESH, "2: expected 2 coordinates"),
+            ("assign-nodes", "m.txt", FLOAT_ID_MESH, "8: bad node id"),
+            ("report", "m.txt", FLOAT_ID_MESH, "8: bad node id"),
+            ("assign-nodes", "p.txt", "\n\n  \n\t\n", "1: empty partition file"),
+            ("report", "n.txt", "\n\n  \n\t\n", "1: empty ownership file"),
+        ],
+        ids=["assign-blank-coords", "report-blank-coords", "assign-float-id", "report-float-id",
+             "assign-blank-parts", "report-blank-owners"],
+    )
+    def test_input_the_c_reader_refuses_is_4_with_one_error_line(
+        self, tmp_path, capsys, command, bad_file, text, message
+    ):
+        # numpy's reader warns "input contained no data" on blank input. A
+        # warning that got out would escape main() as an error, or be shown.
+        mesh = tmp_path / "m.txt"
+        run("gen-mesh", "--nx", 2, "--ny", 1, "--out", mesh)
+        (tmp_path / "p.txt").write_text("0\n1\n")
+        (tmp_path / "n.txt").write_text("0\n" * 6)
+        (tmp_path / bad_file).write_text(text)
+        files = ["--elem-part", tmp_path / "p.txt"]
+        if command == "report":
+            files += ["--node-part", tmp_path / "n.txt"]
+        else:
+            files += ["--out", tmp_path / "o.txt"]
+        capsys.readouterr()
+        for action in ("error", "always"):
+            with warnings.catch_warnings(record=True) as shown:
+                warnings.simplefilter(action)
+                assert run(command, "--mesh", mesh, *files) == 4
+            assert shown == []
+            assert capsys.readouterr().err == f"error: {tmp_path / bad_file}:{message}\n"
+            assert not (tmp_path / "o.txt").exists()
 
 
 def test_graph_input_matches_mesh_dual(tmp_path):

@@ -41,9 +41,11 @@ from hierpart import (
     read_mesh,
     read_ownership,
     read_partition,
+    write_graph,
     write_mesh,
     write_partition,
 )
+from hierpart import graph as graph_module
 from hierpart import mesh as mesh_module
 from hierpart.cli import main
 from hierpart.mesh import _QUAD_SIDES, _HEX_SIDES, node_to_parts
@@ -182,6 +184,14 @@ def _loop_extract_subgraph(graph, vertex_set):
     wgt = np.concatenate(wgt_parts) if wgt_parts else np.zeros(0, dtype=np.int64)
     sub = Graph(offsets, adj, wgt, graph.vertex_weights[local_to_global])
     return sub, local_to_global
+
+
+def _loop_write_graph(graph, path):
+    lines = [f"{graph.num_vertices} {graph.num_edges}"]
+    for v in range(graph.num_vertices):
+        lines.append(" ".join(str(int(u) + 1) for u in graph.neighbors(v)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +749,39 @@ class TestMeshLayer:
 
 
 _TOKEN_EDITS = ["x", "", "1e3", "nan", "-1", "+2", "1_0", "3.0", "99", str(2**70), "0 0", "٣"]
+# Tokens on which numpy's C reader and int()/float() could part ways: signs,
+# leading zeros, underscores, non-ASCII digits, float spellings, overflow, the
+# int64 edges, an embedded NUL, and two ids on what should be one id line.
+_READER_TOKENS = [
+    "+5", "-0", "0007", "1_0", "٣", "1.0", "1e3", "0x10", "nan", "-nan", "inf", "Infinity",
+    "1e400", "-0.0", "5e-324", ".5", "5.", str(2**63 - 1), str(2**63), str(-(2**63)),
+    "1\x002", "x", "1 2",
+]
+# Spaces str.split() splits on: ASCII ones the C reader splits on as well,
+# then non-ASCII ones, whose lines the C reader is never given.
+_ASCII_SPACES = [" ", " ", "  ", "\t", "\x0b", "\x0c", "\x1f"]
+_READER_SPACES = _ASCII_SPACES + ["\xa0", "\u2003"]
+
+
+def _reader_lines(rng, num_lines, width, plain):
+    """Lines of ``width`` tokens from ``plain(rng)``, split and padded by
+    spaces. At an odd rate (zero for some files) a token is one of
+    ``_READER_TOKENS``, a space is non-ASCII, a row is one token short or
+    long, or a line is blank or whitespace only."""
+    odd = rng.choice([0.0, 0.0, 0.01, 0.05, 0.3])
+    lines = []
+    for _ in range(num_lines):
+        if rng.random() < odd / 4:
+            lines.append(rng.choice(["", *_READER_SPACES]))
+            continue
+        count = width + (rng.choice([-1, 1]) if rng.random() < odd / 4 else 0)
+        tokens = [
+            rng.choice(_READER_TOKENS) if rng.random() < odd else plain(rng) for _ in range(count)
+        ]
+        spaces = _READER_SPACES if rng.random() < odd else _ASCII_SPACES
+        pads = ["", "", rng.choice(spaces)]
+        lines.append(rng.choice(pads) + rng.choice(spaces).join(tokens) + rng.choice(pads))
+    return lines
 
 
 def _fuzzed_mesh_text(rng):
@@ -770,19 +813,38 @@ def _fuzzed_mesh_text(rng):
 
 
 class TestReadMesh:
-    @given(st.integers(0, 100_000), st.sampled_from([1, 2, 3, 7, 4096]))
+    @given(st.integers(0, 100_000))
     @settings(max_examples=250, deadline=None)
-    def test_read_mesh_matches_loop(self, seed, block):
+    def test_read_mesh_matches_loop(self, seed):
         rng = random.Random(seed)
         text = _fuzzed_mesh_text(rng)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "m.txt")
             with open(path, "w") as fh:
                 fh.write(text)
-            expected = _expected_read_mesh(path)
-            with mock.patch.object(mesh_module, "_BLOCK_LINES", block):
-                got = _outcome(read_mesh, path)
-        _same_mesh_outcome(expected, got)
+            _same_mesh_outcome(_expected_read_mesh(path), _outcome(read_mesh, path))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_one_bad_token_deep_in_a_long_file_matches_loop(self, seed):
+        # Over 3,000 lines, so the bad line is named deep inside one section.
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            mesh = generate_structured_quad(rng.randint(40, 50), rng.randint(40, 50))
+        else:
+            mesh = generate_structured_hex(12, 12, rng.randint(12, 14))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.txt")
+            write_mesh(mesh, path)
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            i = rng.randrange(len(lines) // 2, len(lines))
+            tokens = lines[i].split()
+            tokens[rng.randrange(len(tokens))] = rng.choice(_TOKEN_EDITS + _READER_TOKENS)
+            lines[i] = " ".join(tokens)
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            _same_mesh_outcome(_expected_read_mesh(path), _outcome(read_mesh, path))
 
     @pytest.mark.parametrize(
         "text",
@@ -879,6 +941,23 @@ class TestWriters:
                 paths = os.path.join(tmp, "loop.txt"), os.path.join(tmp, "new.txt")
                 loop_writer(value, paths[0])
                 writer(value, paths[1])
+                with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+                    assert a.read() == b.read()
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_write_graph_matches_loop(self, seed):
+        rng = random.Random(seed)
+        graphs = [
+            _weighted_graph(rng),
+            build_graph([], 0),
+            build_graph([(0, 3, 1), (3, 5, 2)], rng.randint(6, 9)),  # isolated vertices
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = os.path.join(tmp, "loop.txt"), os.path.join(tmp, "new.txt")
+            for graph in graphs:
+                _loop_write_graph(graph, paths[0])
+                write_graph(graph, paths[1])
                 with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
                     assert a.read() == b.read()
 
@@ -995,6 +1074,24 @@ class TestReadIds:
                 expected = _expected_read_ids(loop_reader, path, what)
                 _same_ids_outcome(expected, _outcome(reader, path))
 
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_one_bad_token_deep_in_a_long_file_matches_loop(self, seed):
+        rng = random.Random(seed)
+        ids = [str(rng.randrange(8)) for _ in range(rng.randint(3000, 4000))]
+        bad = _ID_TOKENS + _READER_TOKENS + [str(len(ids) + 1)]
+        ids[rng.randrange(len(ids) // 2, len(ids))] = rng.choice(bad)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ids.txt")
+            with open(path, "w") as fh:
+                fh.write("\n".join(ids) + "\n")
+            for loop_reader, reader, what in [
+                (_loop_read_partition, read_partition, "part"),
+                (_loop_read_ownership, read_ownership, "rank"),
+            ]:
+                expected = _expected_read_ids(loop_reader, path, what)
+                _same_ids_outcome(expected, _outcome(reader, path))
+
     def test_undecodable_byte_wins_over_an_earlier_bad_line(self, tmp_path):
         # The loop decoded 8 KiB at a time and met the bad line first; the
         # whole file is decoded now, before any line is converted.
@@ -1007,6 +1104,70 @@ class TestReadIds:
         ]:
             assert _outcome(loop_reader, path)[0] is FileFormatError
             assert _outcome(reader, path)[0] is UnicodeDecodeError
+
+
+class TestCReader:
+    """numpy's C reader (``graph._loadtxt_rows``) against the line walker it
+    falls back to: the same bytes, NaN signs and -0.0 included, or the same
+    error type and message."""
+
+    @given(st.integers(0, 100_000), st.sampled_from([2, 3, 4, 8]))
+    @settings(max_examples=300, deadline=None)
+    def test_mesh_rows_match_walker(self, seed, width):
+        rng = random.Random(seed)
+        top = rng.choice([1, 10, 100])
+        if rng.random() < 0.5:
+            convert, dtype, bound = float, np.float64, None
+        else:
+            convert, dtype, bound = int, np.int64, rng.choice([max(1, top - 1), top, 2**62])
+
+        def plain(r):
+            if convert is float and r.random() < 0.5:
+                return repr(_random_float(r))
+            return str(r.randrange(top))
+
+        lines = _reader_lines(rng, rng.randint(0, 40), width, plain)
+
+        def parse():
+            out = np.zeros((len(lines), width), dtype)
+            mesh_module._parse_rows("m.txt", lines, 0, out, convert, "values", "bad value", bound)
+            return out.tobytes()
+
+        fast = _outcome(parse)
+        with mock.patch.object(mesh_module, "_loadtxt_rows", lambda *args: None):
+            assert _outcome(parse) == fast
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300, deadline=None)
+    def test_id_files_match_walker(self, seed):
+        rng = random.Random(seed)
+        top = rng.choice([1, 3, 10, 50])
+        lines = _reader_lines(rng, rng.randint(0, 40), 1, lambda r: str(r.randrange(top)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ids.txt")
+            with open(path, "w", newline="") as fh:
+                fh.write("".join(line + rng.choice(_LINE_BREAKS) for line in lines))
+
+            def read():
+                return graph_module._read_ids(path, "partition", "part").tobytes()
+
+            fast = _outcome(read)
+            with mock.patch.object(graph_module, "_loadtxt_rows", lambda *args: None):
+                assert _outcome(read) == fast
+
+    def test_written_files_take_the_c_reader(self, tmp_path):
+        # The comparisons above hold trivially if the C reader refuses everything.
+        for mesh in (generate_structured_quad(5, 4), generate_structured_hex(3, 2, 2)):
+            path = tmp_path / "m.txt"
+            write_mesh(mesh, str(path))
+            lines = path.read_text().splitlines()
+            nn = mesh.num_nodes
+            coords = graph_module._loadtxt_rows(lines[1:1 + nn], np.float64, mesh.dim)
+            elems = graph_module._loadtxt_rows(lines[1 + nn:], np.int64, 2**mesh.dim, nn)
+            assert coords.tobytes() == mesh.node_coords.tobytes()
+            assert elems.tobytes() == mesh.element_nodes.tobytes()
+        ids = graph_module._loadtxt_rows(["0", "3", "1"], np.int64, 1, 4)
+        assert ids.ravel().tolist() == [0, 3, 1]
 
 
 class TestMainOnFuzzedFiles:
