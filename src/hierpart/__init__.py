@@ -42,7 +42,6 @@ from .mesh import (
     dual_graph,
     generate_structured_hex,
     generate_structured_quad,
-    interface_node_sets,
     read_mesh,
     write_mesh,
 )

@@ -36,7 +36,7 @@ from .graph import (
     write_partition,
 )
 from .hierarchy import hierarchical_partition
-from .kway import TargetWeights, partition_kway
+from .kway import partition_kway
 from .mesh import (
     Mesh, dual_graph, generate_structured_hex, generate_structured_quad, read_mesh, write_mesh,
 )
@@ -123,16 +123,9 @@ def _read_elements(args: argparse.Namespace) -> tuple[Mesh, Partition]:
 
 
 def _compute_partition(graph: Graph, args: argparse.Namespace, method: str) -> Partition:
-    # Refused before anything is sized by --np.
-    if args.np > graph.num_vertices:
-        raise InfeasibleError(
-            f"cannot cut {graph.num_vertices} vertices into {args.np} nonempty parts"
-        )
     if method == "hierarch":
         return hierarchical_partition(graph, args.np, args.np2, args.seed, imbalance_tol=args.tol)
-    return partition_kway(
-        graph, args.np, TargetWeights.uniform(args.np), args.seed, imbalance_tol=args.tol
-    )
+    return partition_kway(graph, args.np, None, args.seed, imbalance_tol=args.tol)
 
 
 def _emit_rows(

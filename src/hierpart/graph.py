@@ -77,12 +77,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.adjacency_list[self.adjacency_offsets[v]:self.adjacency_offsets[v + 1]]
 
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        return self.edge_weights[self.adjacency_offsets[v]:self.adjacency_offsets[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.adjacency_offsets[v + 1] - self.adjacency_offsets[v])
-
     def validate(self) -> None:
         """Full structural check: symmetry, no self-loops, no duplicate neighbors.
 
@@ -317,9 +311,22 @@ def write_graph(graph: Graph, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_graph(path: str) -> Graph:
+def _read_lines(path: str) -> list[str]:
+    """The lines of a text file, split as iterating over the file splits them.
+
+    Only line breaks end a line (``\\n``, ``\\r\\n`` or ``\\r``); other
+    characters ``str.splitlines`` breaks at, such as ``\\x0c``, stay inside
+    it. A final line break adds no empty line, so an empty file has none.
+    """
     with open(path) as fh:
-        raw = fh.read().splitlines()
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def read_graph(path: str) -> Graph:
+    raw = _read_lines(path)
     if not raw:
         raise FileFormatError(path, 1, "empty graph file")
     head = raw[0].split()
@@ -400,8 +407,7 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
     walked line by line, to convert its ids with ``int`` or name its first bad
     line. ``kind`` names the file and ``what`` its ids in error messages.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    lines = _read_lines(path)
     tokens = [token for token in map(str.strip, lines) if token]
     rows = _loadtxt_rows(tokens, np.int64, 1, len(tokens) + 1)
     if rows is None:

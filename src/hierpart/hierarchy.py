@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .graph import Graph, Partition, extract_subgraph
-from .kway import TargetWeights, _fork_map, partition_kway
+from .kway import TargetWeights, _fork_map, _refuse_part_count, partition_kway
 
 __all__ = [
     "SplitPlan",
@@ -99,9 +99,6 @@ class RankLayout:
 
     def __post_init__(self):
         self.chunk_bounds = np.asarray(self.chunk_bounds, dtype=np.int64)
-
-    def owner_of(self, vertex: int) -> int:
-        return int(np.searchsorted(self.chunk_bounds[:, 1], vertex, side="right"))
 
 
 def trivial_distribute(num_vertices: int, num_ranks: int) -> RankLayout:
@@ -206,10 +203,8 @@ def hierarchical_partition(
     """
     # Refuse a part count past the vertex count before compute_splits sizes
     # arrays by it; with group_size < 1, compute_splits' range error wins.
-    if group_size >= 1 and total_parts > g.num_vertices:
-        raise InfeasibleError(
-            f"cannot cut {g.num_vertices} vertices into {total_parts} nonempty parts"
-        )
+    if group_size >= 1:
+        _refuse_part_count(g.num_vertices, total_parts)
     plan = compute_splits(total_parts, group_size)
     p1 = partition_kway(
         g,
@@ -232,11 +227,7 @@ def hierarchical_partition(
         parts_here = int(plan.group_counts[groups[i]])
         subgraph, _ = extract_subgraph(g, members[i])
         return partition_kway(
-            subgraph,
-            parts_here,
-            TargetWeights.uniform(parts_here),
-            seed ^ groups[i],
-            imbalance_tol=imbalance_tol,
+            subgraph, parts_here, None, seed ^ groups[i], imbalance_tol=imbalance_tol
         ).parts
 
     p2 = np.zeros(g.num_vertices, dtype=np.int64)

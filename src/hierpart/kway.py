@@ -53,6 +53,9 @@ _MASK64 = (1 << 64) - 1
 _COARSEST_SIZE = 40
 _MIN_SHRINK = 0.10
 
+# FM stops after this many passes even while the cut still improves.
+_MAX_FM_PASSES = 10
+
 
 _T = TypeVar("_T")
 _U = TypeVar("_U")
@@ -380,13 +383,7 @@ class _GainHeaps:
         return v
 
 
-def fm_refine(
-    g: Graph,
-    p: Partition,
-    target_fraction: float,
-    imbalance_tol: float,
-    max_passes: int = 10,
-) -> Partition:
+def fm_refine(g: Graph, p: Partition, target_fraction: float, imbalance_tol: float) -> Partition:
     """Fiduccia–Mattheyses refinement of a 2-part partition.
 
     Each pass builds a sequence of single-vertex moves (every vertex at most
@@ -398,7 +395,7 @@ def fm_refine(
     admitted classes are cached per part 0 weight for the whole call. The
     pass then rolls back to the best prefix — lowest cut, then smallest
     weight deviation, then shortest. Passes repeat until the cut stops
-    improving or ``max_passes`` is reached. The returned cut never exceeds
+    improving or ``_MAX_FM_PASSES`` is reached. The returned cut never exceeds
     the input cut.
 
     If the input itself sits outside the balance window, it is returned
@@ -433,7 +430,7 @@ def fm_refine(
     # so the admitted classes are worked out once per w0 for the whole call.
     admitted: dict[int, list[tuple[int, list[int]]]] = {}
     cut = edge_cut(g, Partition(parts, 2))
-    for _ in range(max_passes):
+    for _ in range(_MAX_FM_PASSES):
         pass_start_cut = cut
         heaps.load(parts)
         side_of, gains = heaps.parts, heaps.gains
@@ -576,27 +573,37 @@ def _multilevel_bisect(
     return _repair_counts(g, parts, min_counts)
 
 
+def _refuse_part_count(num_vertices: int, k: int) -> None:
+    """Refuse more parts than vertices, before anything is sized by ``k``."""
+    if k > num_vertices:
+        raise InfeasibleError(f"cannot cut {num_vertices} vertices into {k} nonempty parts")
+
+
 def partition_kway(
     g: Graph,
     k: int,
-    w: TargetWeights,
+    w: TargetWeights | None,
     seed: int,
     imbalance_tol: float = 0.03,
     min_part_counts: Sequence[int] | None = None,
 ) -> Partition:
-    """Partition into k parts with target weight fractions ``w``.
+    """Partition into k parts with target weight fractions ``w`` (None: uniform).
 
     Recursive bisection: the first ⌈k/2⌉ target fractions go to the left
     branch, so part ids follow the weight-vector order. Every part is
     guaranteed nonempty (``min_part_counts`` raises the floor per part when a
-    caller needs more than one vertex in specific parts).
+    caller needs more than one vertex in specific parts). ``imbalance_tol``
+    must be a finite number >= 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(w) != k:
+    if not (math.isfinite(imbalance_tol) and imbalance_tol >= 0):
+        raise ValueError(f"imbalance_tol must be a finite number >= 0, got {imbalance_tol}")
+    if w is not None and len(w) != k:
         raise ValueError(f"expected {k} target fractions, got {len(w)}")
-    if k > g.num_vertices:
-        raise InfeasibleError(f"cannot cut {g.num_vertices} vertices into {k} nonempty parts")
+    _refuse_part_count(g.num_vertices, k)
+    if w is None:
+        w = TargetWeights.uniform(k)
     if min_part_counts is None:
         mins = np.ones(k, dtype=np.int64)
     else:

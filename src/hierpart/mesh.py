@@ -1,4 +1,4 @@
-"""Structured quad/hex test meshes, element dual graphs, interface node sets.
+"""Structured quad/hex test meshes, element dual graphs, node-to-part maps, mesh files.
 
 Numbering is row-major with x fastest (then y, then z), for both nodes and
 elements, so every small example can be enumerated by hand.
@@ -11,15 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError
-from .graph import Graph, Partition, _loadtxt_rows, build_graph
+from .graph import Graph, Partition, _loadtxt_rows, _read_lines, build_graph
 
 __all__ = [
     "Mesh",
     "generate_structured_quad",
     "generate_structured_hex",
     "dual_graph",
-    "interface_node_sets",
-    "node_to_parts",
     "read_mesh",
     "write_mesh",
 ]
@@ -162,13 +160,6 @@ def _node_parts(mesh: Mesh, elem_partition: Partition) -> tuple[np.ndarray, np.n
     return offsets, parts
 
 
-def node_to_parts(mesh: Mesh, elem_partition: Partition) -> list[set[int]]:
-    """Per-node set of part ids over the elements attached to that node."""
-    offsets, parts = _node_parts(mesh, elem_partition)
-    bounds, values = offsets.tolist(), parts.tolist()
-    return [set(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _pair_nodes(offsets: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes touching exactly two parts, as arrays ``(a, b, node)`` with a < b.
 
@@ -178,29 +169,6 @@ def _pair_nodes(offsets: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.
     a, b = parts[offsets[nodes]], parts[offsets[nodes] + 1]
     order = np.lexsort((nodes, b, a))
     return a[order], b[order], nodes[order]
-
-
-def interface_node_sets(
-    mesh: Mesh, elem_partition: Partition
-) -> tuple[dict[tuple[int, int], set[int]], list[int]]:
-    """Group shared nodes by the unordered pair of parts that touch them.
-
-    Returns ``(pair_sets, multi_rank)``: ``pair_sets[(a, b)]`` (a < b) holds the
-    nodes attached to elements of exactly parts a and b; nodes attached to three
-    or more parts are excluded from every pair and returned in ``multi_rank``
-    (sorted by node id) for separate handling. Pairs are keyed in order of
-    their smallest node.
-    """
-    offsets, parts = _node_parts(mesh, elem_partition)
-    a, b, nodes = _pair_nodes(offsets, parts)
-    starts = np.flatnonzero((np.diff(a, prepend=-1) != 0) | (np.diff(b, prepend=-1) != 0))
-    bounds = [*starts.tolist(), len(nodes)]
-    groups = sorted(zip(nodes[starts].tolist(), bounds, bounds[1:]))
-    pair_sets = {
-        (int(a[lo]), int(b[lo])): set(nodes[lo:hi].tolist()) for _, lo, hi in groups
-    }
-    multi_rank = np.flatnonzero(np.diff(offsets) > 2).tolist()
-    return pair_sets, multi_rank
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +220,7 @@ def _parse_rows(
 
 
 def read_mesh(path: str) -> Mesh:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
     if not raw:
         raise FileFormatError(path, 1, "empty mesh file")
     head = raw[0].split()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Partition, _read_ids, _write_ids, build_graph
-from .kway import TargetWeights, _fork_map, derive_seed, partition_kway
+from .kway import _fork_map, derive_seed, partition_kway
 from .mesh import Mesh, _node_parts, _pair_nodes, _shared_sides
 
 __all__ = [
@@ -156,7 +156,7 @@ def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int)
         halves = partition_kway(
             build_graph(np.column_stack([local, np.ones(len(local), dtype=np.int64)]), len(members)),
             2,
-            TargetWeights.uniform(2),
+            None,
             derive_seed(seed, low, high),
         )
         low_half = halves.parts[0]  # members[0] is the smallest node id

@@ -9,6 +9,9 @@ import pytest
 
 from hierpart import Graph, Partition, build_graph, generate_structured_quad
 
+# Characters str.splitlines() breaks a line at but iterating over a file does not.
+INLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 @pytest.fixture
 def path4() -> Graph:

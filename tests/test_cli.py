@@ -310,6 +310,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: cannot cut 2 vertices into {2**62} nonempty parts\n"
         assert not out.exists()
 
+    def test_form_feed_inside_a_mesh_line_splits_tokens_not_lines(self, tmp_path, capsys):
+        # str.splitlines() would make line 3 two lines: "expected 2 coordinates", exit 4.
+        mesh, out = tmp_path / "m.txt", tmp_path / "p.txt"
+        run("gen-mesh", "--nx", 2, "--ny", 1, "--out", mesh)
+        lines = mesh.read_text().split("\n")
+        lines[2] = lines[2].replace(" ", "\x0c")
+        mesh.write_text("\n".join(lines))
+        assert run("partition", "--mesh", mesh, "--np", 2, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(read_partition(str(out)).parts.tolist()) == [0, 1]
+
     @pytest.mark.parametrize("header", ["-1 0", "2 -1"])
     def test_negative_graph_header_is_4_with_line(self, tmp_path, capsys, header):
         graph = tmp_path / "g.txt"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_partition
+from conftest import INLINE_BREAKS, random_graph, random_partition
+from hierpart.graph import _read_lines
 from hierpart import (
     FileFormatError,
     Graph,
@@ -26,9 +27,9 @@ from hierpart import (
 def test_build_graph_sorts_neighbors():
     g = build_graph([(0, 2, 1), (0, 1, 3)], 3)
     assert g.neighbors(0).tolist() == [1, 2]
-    assert g.neighbor_weights(0).tolist() == [3, 1]
+    assert g.edge_weights[g.adjacency_offsets[0]:g.adjacency_offsets[1]].tolist() == [3, 1]
     assert g.num_edges == 2
-    assert g.degree(0) == 2 and g.degree(1) == 1
+    assert np.diff(g.adjacency_offsets).tolist() == [2, 1, 1]
 
 
 def test_build_graph_rejects_bad_edges():
@@ -67,7 +68,7 @@ def test_extract_subgraph_follows_given_order():
     assert back.tolist() == [3, 1, 0]
     # local 0 = global 3: keeps only the edge to global 0 (local 2), weight 5
     assert sub.neighbors(0).tolist() == [2]
-    assert sub.neighbor_weights(0).tolist() == [5]
+    assert sub.edge_weights[sub.adjacency_offsets[0]:sub.adjacency_offsets[1]].tolist() == [5]
     assert sub.num_edges == 2  # (3,0) and (0,1); (1,2) and (2,3) drop out
     sub.validate()
 
@@ -145,10 +146,40 @@ def test_graph_file_first_line():
     assert lines[2] == "1 3"
 
 
+@pytest.mark.parametrize(
+    "text,lines",
+    [
+        ("", []),
+        ("\n", [""]),
+        ("a", ["a"]),
+        ("a\n", ["a"]),
+        ("a\n\n", ["a", ""]),
+        ("a\r\nb\rc\n", ["a", "b", "c"]),
+        ("".join(INLINE_BREAKS) + "\n", ["".join(INLINE_BREAKS)]),
+    ],
+)
+def test_read_lines_splits_as_file_iteration(tmp_path, text, lines):
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    assert _read_lines(str(path)) == lines
+    with open(path) as fh:
+        assert [line.removesuffix("\n") for line in fh] == lines
+
+
+@pytest.mark.parametrize("sep", INLINE_BREAKS)
+def test_read_graph_splits_lines_only_at_line_breaks(tmp_path, sep):
+    path = tmp_path / "g.txt"
+    path.write_text(f"3 2\n2\n1{sep}3\n2\n")
+    g = read_graph(str(path))
+    expected = build_graph([(0, 1, 1), (1, 2, 1)], 3)
+    assert g.adjacency_offsets.tolist() == expected.adjacency_offsets.tolist()
+    assert g.adjacency_list.tolist() == expected.adjacency_list.tolist()
+
+
 def test_read_graph_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("")
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=r"bad\.txt:1: empty graph file$"):
         read_graph(str(p))
 
     p.write_text("2 1\n2\n")

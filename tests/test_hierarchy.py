@@ -88,10 +88,6 @@ class TestTrivialDistribute:
         with pytest.raises(ValueError):
             trivial_distribute(2, 0)
 
-    def test_owner_lookup(self):
-        layout = trivial_distribute(10, 3)
-        assert [layout.owner_of(v) for v in (0, 3, 4, 6, 7, 9)] == [0, 0, 1, 1, 2, 2]
-
 
 class TestDiscoverExchange:
     def test_small_worked_case(self):

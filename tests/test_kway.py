@@ -1,5 +1,7 @@
 import random
 import warnings
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hierpart import (
     generate_structured_hex,
     generate_structured_quad,
     heavy_edge_match,
+    hierarchical_partition,
     initial_bisection,
     partition_kway,
 )
@@ -210,7 +213,7 @@ class TestFMRefine:
 
 def _scan_apply_move_gains(g, parts, gains, v):
     nbrs = g.neighbors(v)
-    wgts = g.neighbor_weights(v)
+    wgts = g.edge_weights[g.adjacency_offsets[v]:g.adjacency_offsets[v + 1]]
     same = parts[nbrs] == parts[v]
     gains[nbrs] += np.where(same, -2 * wgts, 2 * wgts)
     gains[v] = -gains[v]
@@ -333,7 +336,8 @@ class TestGainHeapEngine:
             expected = _scan_fm_refine(g, p, target, tol, passes)
         with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
-            got = fm_refine(g, p, target, tol, passes)
+            with mock.patch.object(kway, "_MAX_FM_PASSES", passes):
+                got = fm_refine(g, p, target, tol)
         assert got.parts.tobytes() == expected.parts.tobytes()
         assert [w.category for w in got_warnings] == [w.category for w in expected_warnings]
         assert len(got_warnings) == (abs(w0 - target * total) > tol * total + 1e-9 * total)
@@ -385,10 +389,13 @@ class TestGainHeapEngine:
         target = w0 / total if rng.random() < 0.75 else rng.uniform(0.2, 0.8)
         tol = rng.choice([0.0, rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.5)])
         passes = rng.choice([1, 10])
+        # Ten passes is fm_refine's own limit, so only one pass needs a patch.
+        limit = mock.patch.object(kway, "_MAX_FM_PASSES", 1) if passes == 1 else nullcontext()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BalanceWindowWarning)
             expected = _scan_fm_refine(g, p, target, tol, passes)
-            got = fm_refine(g, p, target, tol, passes)
+            with limit:
+                got = fm_refine(g, p, target, tol)
         assert got.parts.tobytes() == expected.parts.tobytes()
 
         expected = _scan_rebalance(g, p.parts.copy(), target)
@@ -461,6 +468,32 @@ class TestPartitionKway:
     def test_weight_count_mismatch(self, path4):
         with pytest.raises(ValueError):
             partition_kway(path4, 3, TargetWeights.uniform(2), seed=0)
+
+    @pytest.mark.parametrize("k,seed", [(1, 0), (2, 7), (5, 42), (8, 3)])
+    def test_no_weights_mean_uniform_targets(self, k, seed):
+        g = dual_graph(generate_structured_quad(8, 8))
+        uniform = partition_kway(g, k, TargetWeights.uniform(k), seed)
+        assert partition_kway(g, k, None, seed).parts.tobytes() == uniform.parts.tobytes()
+
+    def test_part_count_past_the_vertices_is_refused_before_sizing(self, path4):
+        # Uniform targets for 2**62 parts would not fit in memory.
+        message = f"^cannot cut 4 vertices into {2**62} nonempty parts$"
+        with pytest.raises(InfeasibleError, match=message):
+            partition_kway(path4, 2**62, None, seed=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -0.5, -1e-300])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # Taken silently, nan and -0.5 would skip refinement here (cut 61
+        # against 32 at 0.03) and inf would give part sizes [1, 253, 1, 1].
+        g = dual_graph(generate_structured_quad(16, 16))
+        with pytest.raises(ValueError, match="^imbalance_tol must be a finite number >= 0, got "):
+            partition_kway(g, 4, None, seed=0, imbalance_tol=tol)
+        with pytest.raises(ValueError, match="^imbalance_tol must be a finite number >= 0, got "):
+            hierarchical_partition(g, 4, 2, seed=0, imbalance_tol=tol)
+
+    def test_zero_tolerance_is_accepted(self):
+        g = dual_graph(generate_structured_quad(16, 16))
+        assert partition_kway(g, 4, None, seed=0, imbalance_tol=0.0).part_sizes().min() >= 1
 
     def test_min_part_counts(self):
         g = dual_graph(generate_structured_quad(4, 4))

@@ -36,7 +36,6 @@ from hierpart import (
     generate_structured_hex,
     generate_structured_quad,
     heavy_edge_match,
-    interface_node_sets,
     partition_kway,
     read_mesh,
     read_ownership,
@@ -48,7 +47,7 @@ from hierpart import (
 from hierpart import graph as graph_module
 from hierpart import mesh as mesh_module
 from hierpart.cli import main
-from hierpart.mesh import _QUAD_SIDES, _HEX_SIDES, node_to_parts
+from hierpart.mesh import _QUAD_SIDES, _HEX_SIDES, _node_parts, _pair_nodes
 from hierpart.nodes import (
     NodeOwnership,
     _interface_edges,
@@ -159,6 +158,11 @@ def _loop_validate(self):
             raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
+def _neighbor_weights(graph, v):
+    """The edge weights of ``v``'s adjacency run."""
+    return graph.edge_weights[graph.adjacency_offsets[v]:graph.adjacency_offsets[v + 1]]
+
+
 def _loop_extract_subgraph(graph, vertex_set):
     local_to_global = np.asarray(vertex_set, dtype=np.int64)
     n_local = len(local_to_global)
@@ -178,7 +182,7 @@ def _loop_extract_subgraph(graph, vertex_set):
         mapped = global_to_local[nbrs]
         keep = mapped >= 0
         adj_parts.append(mapped[keep])
-        wgt_parts.append(graph.neighbor_weights(g)[keep])
+        wgt_parts.append(_neighbor_weights(graph, g)[keep])
         offsets[local + 1] = offsets[local] + keep.sum()
     adj = np.concatenate(adj_parts) if adj_parts else np.zeros(0, dtype=np.int64)
     wgt = np.concatenate(wgt_parts) if wgt_parts else np.zeros(0, dtype=np.int64)
@@ -212,7 +216,7 @@ def _loop_heavy_edge_match(g, seed, order=None):
             continue
         best = -1
         best_w = 0
-        for u, w in zip(g.neighbors(v), g.neighbor_weights(v)):
+        for u, w in zip(g.neighbors(v), _neighbor_weights(g, v)):
             u, w = int(u), int(w)
             if mates[u] != u or u == v:
                 continue
@@ -693,14 +697,17 @@ class TestMeshLayer:
         unused = _first_unused_node(mesh)
         if unused is not None:  # the loop gave such a node no parts
             refused = (ValueError, f"node {unused} belongs to no element")
-            assert _outcome(node_to_parts, mesh, part) == refused
-            assert _outcome(interface_node_sets, mesh, part) == refused
+            assert _outcome(_node_parts, mesh, part) == refused
         else:
-            assert node_to_parts(mesh, part) == _loop_node_to_parts(mesh, part)
+            offsets, parts = _node_parts(mesh, part)
+            attached = [parts[lo:hi].tolist() for lo, hi in zip(offsets[:-1], offsets[1:])]
+            assert attached == [sorted(ranks) for ranks in _loop_node_to_parts(mesh, part)]
             expected_pairs, expected_multi = _loop_interface_node_sets(mesh, part)
-            pairs, multi = interface_node_sets(mesh, part)
-            assert pairs == expected_pairs and list(pairs) == list(expected_pairs)
-            assert multi == expected_multi
+            rows = list(zip(*(column.tolist() for column in _pair_nodes(offsets, parts))))
+            assert rows == sorted(
+                (low, high, n) for (low, high), nodes in expected_pairs.items() for n in nodes
+            )
+            assert np.flatnonzero(np.diff(offsets) > 2).tolist() == expected_multi
         rows = _interface_edges(mesh, part)
         expected_rows = sorted(
             (a, b, n1, n2)
@@ -869,7 +876,9 @@ def _expected_read_mesh(path):
 
     The loop ran into numpy's "negative dimensions" error or an IndexError on
     such headers, and returned a mesh with unused nodes; every other input
-    must still give the loop's outcome.
+    must still give the loop's outcome. The loop also broke lines at every
+    character ``str.splitlines`` breaks at; the fuzzed files hold none but
+    line breaks, and ``test_mesh.py`` covers the others.
     """
     with open(path) as fh:
         head = fh.read().splitlines()[:1]

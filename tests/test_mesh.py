@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import INLINE_BREAKS
 from hierpart import (
     FileFormatError,
     Mesh,
@@ -8,11 +9,10 @@ from hierpart import (
     dual_graph,
     generate_structured_hex,
     generate_structured_quad,
-    interface_node_sets,
     read_mesh,
     write_mesh,
 )
-from hierpart.mesh import node_to_parts
+from hierpart.mesh import _node_parts, _pair_nodes
 
 
 class TestQuadGeneration:
@@ -121,30 +121,46 @@ class TestDualGraph:
 
     def test_interior_degrees(self):
         g = dual_graph(generate_structured_quad(4, 4))
-        assert g.degree(5) == 4  # element (1,1)
+        assert np.diff(g.adjacency_offsets)[5] == 4  # element (1,1)
         g3 = dual_graph(generate_structured_hex(3, 3, 3))
-        assert g3.degree(13) == 6  # center element
+        assert np.diff(g3.adjacency_offsets)[13] == 6  # center element
 
     def test_vertex_count_matches_elements(self):
         for m in (generate_structured_quad(3, 5), generate_structured_hex(2, 3, 2)):
             assert dual_graph(m).num_vertices == m.num_elements
 
 
+def _attached(mesh, partition):
+    """Each node's parts, as a list, from the compressed map of ``_node_parts``."""
+    offsets, parts = _node_parts(mesh, partition)
+    return [parts[lo:hi].tolist() for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def _interface(mesh, partition):
+    """``(pairs, multi)``: ``pairs[(a, b)]`` holds the nodes touching exactly
+    parts a < b, and ``multi`` the nodes touching three or more parts."""
+    offsets, parts = _node_parts(mesh, partition)
+    pairs = {}
+    for a, b, node in zip(*(column.tolist() for column in _pair_nodes(offsets, parts))):
+        pairs.setdefault((a, b), set()).add(node)
+    return pairs, np.flatnonzero(np.diff(offsets) > 2).tolist()
+
+
 class TestInterfaceNodeSets:
     def test_two_element_strip(self, strip_mesh):
-        pairs, multi = interface_node_sets(strip_mesh, Partition([0, 1], 2))
+        pairs, multi = _interface(strip_mesh, Partition([0, 1], 2))
         assert pairs == {(0, 1): {1, 4}}
         assert multi == []
 
     def test_single_part_is_empty(self):
         m = generate_structured_quad(3, 3)
-        pairs, multi = interface_node_sets(m, Partition([0] * 9, 1))
+        pairs, multi = _interface(m, Partition([0] * 9, 1))
         assert pairs == {} and multi == []
 
     def test_four_way_corner(self):
         """Center of a 2x2 mesh touches all four parts; mid-edge nodes pair up."""
         m = generate_structured_quad(2, 2)
-        pairs, multi = interface_node_sets(m, Partition([0, 1, 2, 3], 4))
+        pairs, multi = _interface(m, Partition([0, 1, 2, 3], 4))
         assert multi == [4]
         assert set(pairs) == {(0, 1), (0, 2), (1, 3), (2, 3)}
         assert all(len(nodes) == 1 for nodes in pairs.values())
@@ -154,19 +170,23 @@ class TestInterfaceNodeSets:
     def test_pair_nodes_touch_exactly_two_parts(self):
         m = generate_structured_quad(4, 4)
         part = Partition([(e % 4) for e in range(16)], 4)
-        pairs, multi = interface_node_sets(m, part)
-        from hierpart.mesh import node_to_parts
-
-        attached = node_to_parts(m, part)
-        for nodes in pairs.values():
-            for n in nodes:
-                assert len(attached[n]) == 2
+        attached = _attached(m, part)
+        assert all(ranks == sorted(set(ranks)) for ranks in attached)  # ascending, no repeats
+        a, b, nodes = _pair_nodes(*_node_parts(m, part))
+        rows = list(zip(a.tolist(), b.tolist(), nodes.tolist()))
+        assert rows and rows == sorted(rows)
+        for lo, hi, n in rows:
+            assert attached[n] == [lo, hi]
+        pairs, multi = _interface(m, part)
         for n in multi:
             assert len(attached[n]) >= 3
+        assert sorted(n for ns in pairs.values() for n in ns) == [
+            n for n, ranks in enumerate(attached) if len(ranks) == 2
+        ]
 
     def test_length_mismatch(self, strip_mesh):
         with pytest.raises(ValueError):
-            interface_node_sets(strip_mesh, Partition([0], 1))
+            _node_parts(strip_mesh, Partition([0], 1))
 
 
 def test_mesh_file_round_trip(tmp_path):
@@ -185,7 +205,7 @@ def test_mesh_file_header_and_errors(tmp_path):
     assert p.read_text().splitlines()[0] == "2 4 1"
 
     p.write_text("")
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=r"m\.txt:1: empty mesh file$"):
         read_mesh(str(p))
     p.write_text("5 1 1\n0 0\n")
     with pytest.raises(FileFormatError, match="dim"):
@@ -201,6 +221,20 @@ def test_mesh_file_header_and_errors(tmp_path):
         read_mesh(str(p))
 
 
+@pytest.mark.parametrize("line", [3, 8])  # a coordinate line, an element line
+@pytest.mark.parametrize("sep", INLINE_BREAKS)
+def test_read_mesh_splits_lines_only_at_line_breaks(tmp_path, sep, line):
+    mesh = generate_structured_quad(2, 1)
+    path = tmp_path / "m.txt"
+    write_mesh(mesh, str(path))
+    lines = path.read_text().split("\n")
+    lines[line - 1] = lines[line - 1].replace(" ", sep, 1)
+    path.write_text("\n".join(lines))
+    again = read_mesh(str(path))
+    assert again.element_nodes.tobytes() == mesh.element_nodes.tobytes()
+    assert again.node_coords.tobytes() == mesh.node_coords.tobytes()
+
+
 def test_unused_node_is_refused(tmp_path):
     """A node no element uses: a format error naming its line in a file, a
     ValueError for a mesh built in code."""
@@ -211,4 +245,4 @@ def test_unused_node_is_refused(tmp_path):
     mesh = Mesh(2, [[0, 1, 2, 3]], [[0, 0], [1, 0], [1, 1], [0, 1], [2, 2]])
     assert dual_graph(mesh).num_vertices == 1  # the element graph needs no nodes
     with pytest.raises(ValueError, match="^node 4 belongs to no element$"):
-        node_to_parts(mesh, Partition([0], 1))
+        _node_parts(mesh, Partition([0], 1))
