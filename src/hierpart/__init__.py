@@ -27,7 +27,6 @@ from .hierarchy import (
     trivial_distribute,
 )
 from .kway import (
-    BalanceWindowWarning,
     CoarseningLevel,
     TargetWeights,
     coarsen,

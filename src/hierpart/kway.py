@@ -37,7 +37,6 @@ from .graph import Graph, Partition, build_graph, edge_cut, extract_subgraph
 __all__ = [
     "TargetWeights",
     "CoarseningLevel",
-    "BalanceWindowWarning",
     "derive_seed",
     "heavy_edge_match",
     "coarsen",
@@ -70,10 +69,6 @@ _spare_cpus = (
 # a fork/pipe/reap costs about 5 ms on a 2-vCPU host, and 4-part cuts with
 # lanes of up to 200 vertices ran faster inline than forked.
 _MIN_FORK_WEIGHT = 128
-
-
-class BalanceWindowWarning(UserWarning):
-    """Refinement was asked for a balance window its input already violates."""
 
 
 def derive_seed(seed: int, *salts: int) -> int:
@@ -197,25 +192,29 @@ def coarsen(g: Graph, mates: Sequence[int]) -> CoarseningLevel:
     return CoarseningLevel(build_graph(edges, next_id, coarse_vwgt), projection)
 
 
-def initial_bisection(
-    g: Graph, target_fraction: float, seed: int, start: int | None = None
-) -> Partition:
+def _check_target_fraction(target_fraction: float) -> None:
+    if not (0.0 < target_fraction < 1.0):
+        raise ValueError("target_fraction must lie in (0, 1)")
+
+
+def _check_imbalance_tol(imbalance_tol: float) -> None:
+    if not (math.isfinite(imbalance_tol) and imbalance_tol >= 0):
+        raise ValueError(f"imbalance_tol must be a finite number >= 0, got {imbalance_tol}")
+
+
+def initial_bisection(g: Graph, target_fraction: float, start: int) -> Partition:
     """Bisect by growing a breadth-first region until it holds the target weight.
 
-    Growth begins at a seeded random vertex (or ``start``), absorbs vertices in
-    BFS order (neighbors by ascending id), jumps to the lowest-id unreached
-    vertex when a component is exhausted, and stops as soon as the accumulated
-    vertex weight reaches ``target_fraction`` of the total. The grown region is
-    part 0.
+    Growth begins at vertex ``start``, absorbs vertices in BFS order
+    (neighbors by ascending id), jumps to the lowest-id unreached vertex when
+    a component is exhausted, and stops as soon as the accumulated vertex
+    weight reaches ``target_fraction`` of the total. The grown region is part 0.
     """
     nv = g.num_vertices
     if nv == 0:
         raise ValueError("cannot bisect an empty graph")
-    if not (0.0 < target_fraction < 1.0):
-        raise ValueError("target_fraction must lie in (0, 1)")
-    if start is None:
-        start = random.Random(seed).randrange(nv)
-    elif not 0 <= start < nv:
+    _check_target_fraction(target_fraction)
+    if not 0 <= start < nv:
         raise ValueError(f"start vertex {start} is outside [0, {nv})")
     threshold = target_fraction * g.total_vertex_weight
 
@@ -387,40 +386,39 @@ def fm_refine(g: Graph, p: Partition, target_fraction: float, imbalance_tol: flo
     """Fiduccia–Mattheyses refinement of a 2-part partition.
 
     Each pass builds a sequence of single-vertex moves (every vertex at most
-    once; each move keeps part 0's weight within ``imbalance_tol`` of target).
-    Every vertex not yet moved in the pass whose weight fits the window is a
-    candidate, not only boundary vertices; the highest-gain candidate moves
-    (tie: lower vertex id). Each move is one :meth:`_GainHeaps.step` over the
-    (side, weight) heap classes that the current part 0 weight admits; the
-    admitted classes are cached per part 0 weight for the whole call. The
-    pass then rolls back to the best prefix — lowest cut, then smallest
-    weight deviation, then shortest. Passes repeat until the cut stops
-    improving or ``_MAX_FM_PASSES`` is reached. The returned cut never exceeds
-    the input cut.
+    once; each move keeps part 0's weight inside the balance window around
+    target). Every vertex not yet moved in the pass whose weight fits the
+    window is a candidate, not only boundary vertices; the highest-gain
+    candidate moves (tie: lower vertex id). Each move is one
+    :meth:`_GainHeaps.step` over the (side, weight) heap classes that the
+    current part 0 weight admits; the admitted classes are cached per part 0
+    weight for the whole call. The pass then rolls back to the best prefix —
+    lowest cut, then smallest weight deviation, then shortest. Passes repeat
+    until the cut stops improving or ``_MAX_FM_PASSES`` is reached. The
+    returned cut never exceeds the input cut.
 
-    If the input itself sits outside the balance window, it is returned
-    unchanged and a :class:`BalanceWindowWarning` is emitted.
+    The window's half-width, as a fraction of the total weight, is
+    ``imbalance_tol`` or the input's own deviation from target, whichever is
+    larger, so balance never ends worse than the input's and an input outside
+    ``imbalance_tol`` is refined, not refused. Raises ``ValueError`` unless
+    ``imbalance_tol`` is a finite number >= 0 and ``target_fraction`` lies in
+    (0, 1).
     """
     if p.num_parts != 2:
         raise ValueError("fm_refine expects a 2-part partition")
     if len(p.parts) != g.num_vertices:
         raise ValueError("partition length mismatch")
-    vw = g.vertex_weights
-    total = g.total_vertex_weight
-    target = target_fraction * total
-    window = imbalance_tol * total
-    eps = 1e-9 * max(1.0, total)
-
+    _check_imbalance_tol(imbalance_tol)
+    _check_target_fraction(target_fraction)
     parts = p.parts.copy()
-    w0 = int(vw[parts == 0].sum())
-    if abs(w0 - target) > window + eps:
-        warnings.warn(
-            f"balance window ±{window:.3g} around {target:.3g} excludes the input "
-            f"(part 0 weight {w0}); returning it unchanged",
-            BalanceWindowWarning,
-            stacklevel=2,
-        )
+    total = g.total_vertex_weight
+    if total == 0:
         return Partition(parts, 2)
+    vw = g.vertex_weights
+    target = target_fraction * total
+    w0 = int(vw[parts == 0].sum())
+    window = max(imbalance_tol, abs(w0 - target) / total + 1e-12) * total
+    eps = 1e-9 * max(1.0, total)
 
     heaps = _GainHeaps(g)
     weights, classes, by_class = heaps.weights, heaps.classes, heaps.heaps
@@ -524,28 +522,15 @@ def _coarsening_chain(g: Graph, seed: int) -> list[CoarseningLevel]:
     return chain
 
 
-def _refine_level(g: Graph, parts: np.ndarray, target_fraction: float, tol: float) -> np.ndarray:
-    """One V-cycle refinement step: rebalance, then FM in a window that admits the result.
-
-    FM goes through the module-level name ``fm_refine``, once per coarsest
-    start and once per level, because an outside-in tracer counts the calls
-    by rebinding that name.
-    """
-    parts = _rebalance(g, parts, target_fraction)
-    total = g.total_vertex_weight
-    dev = abs(int(g.vertex_weights[parts == 0].sum()) - target_fraction * total)
-    effective = max(tol, dev / total + 1e-12)
-    return fm_refine(g, Partition(parts, 2), target_fraction, effective).parts
-
-
 def _multilevel_bisect(
-    g: Graph,
-    target_fraction: float,
-    tol: float,
-    seed: int,
-    min_counts: tuple[int, int] = (1, 1),
+    g: Graph, target_fraction: float, tol: float, seed: int, min_counts: tuple[int, int]
 ) -> np.ndarray:
-    """Full V-cycle bisection honoring per-side minimum vertex counts; returns part ids."""
+    """Full V-cycle bisection honoring per-side minimum vertex counts; returns part ids.
+
+    Each coarsest start and each level is rebalanced, then refined through
+    the module-level name ``fm_refine``, because an outside-in tracer counts
+    the calls by rebinding that name.
+    """
     chain = _coarsening_chain(g, seed)
     coarsest = chain[-1].graph if chain else g
 
@@ -556,10 +541,11 @@ def _multilevel_bisect(
     # growth front that strands the small side of a lopsided target.
     seeded = random.Random(derive_seed(seed, 2)).randrange(nvc)
     for start in dict.fromkeys((seeded, 0, nvc - 1, nvc // 2)):
-        cand = initial_bisection(coarsest, target_fraction, seed, start=start).parts
+        cand = initial_bisection(coarsest, target_fraction, start=start).parts
         if cand.min() == cand.max():  # growth swallowed everything; peel one back
             cand[np.argmax(coarsest.vertex_weights == coarsest.vertex_weights.min())] = 1
-        cand = _refine_level(coarsest, cand, target_fraction, tol)
+        cand = _rebalance(coarsest, cand, target_fraction)
+        cand = fm_refine(coarsest, Partition(cand, 2), target_fraction, tol).parts
         key = (
             edge_cut(coarsest, Partition(cand, 2)),
             abs(float(coarsest.vertex_weights[cand == 0].sum()) - target),
@@ -569,7 +555,8 @@ def _multilevel_bisect(
 
     for idx in range(len(chain) - 1, -1, -1):
         fine = g if idx == 0 else chain[idx - 1].graph
-        parts = _refine_level(fine, parts[chain[idx].projection], target_fraction, tol)
+        parts = _rebalance(fine, parts[chain[idx].projection], target_fraction)
+        parts = fm_refine(fine, Partition(parts, 2), target_fraction, tol).parts
     return _repair_counts(g, parts, min_counts)
 
 
@@ -597,8 +584,7 @@ def partition_kway(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not (math.isfinite(imbalance_tol) and imbalance_tol >= 0):
-        raise ValueError(f"imbalance_tol must be a finite number >= 0, got {imbalance_tol}")
+    _check_imbalance_tol(imbalance_tol)
     if w is not None and len(w) != k:
         raise ValueError(f"expected {k} target fractions, got {len(w)}")
     _refuse_part_count(g.num_vertices, k)

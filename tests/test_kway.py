@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import random_graph, random_two_sided
 from hierpart import kway
 from hierpart import (
-    BalanceWindowWarning,
     Graph,
     InfeasibleError,
     Partition,
@@ -131,33 +130,33 @@ class TestCoarsen:
 
 class TestInitialBisection:
     def test_path_grows_half(self, path4):
-        p = initial_bisection(path4, 0.5, seed=0, start=0)
+        p = initial_bisection(path4, 0.5, start=0)
         assert p.parts.tolist() == [0, 0, 1, 1]
 
     def test_stops_at_single_vertex(self, path4):
-        p = initial_bisection(path4, 0.25, seed=0, start=2)
+        p = initial_bisection(path4, 0.25, start=2)
         assert p.parts.tolist() == [1, 1, 0, 1]
 
     def test_exhausts_component_exactly(self):
         g = build_graph([(0, 1, 1), (2, 3, 1)], 4)
-        p = initial_bisection(g, 0.5, seed=0, start=0)
+        p = initial_bisection(g, 0.5, start=0)
         assert p.parts.tolist() == [0, 0, 1, 1]
 
     def test_jumps_to_lowest_unreached_vertex(self):
         g = build_graph([(0, 1, 1), (2, 3, 1)], 4)
-        p = initial_bisection(g, 0.75, seed=0, start=0)
+        p = initial_bisection(g, 0.75, start=0)
         assert p.parts.tolist() == [0, 0, 0, 1]
 
     def test_invalid_fraction(self, path4):
         with pytest.raises(ValueError):
-            initial_bisection(path4, 0.0, seed=0)
+            initial_bisection(path4, 0.0, start=0)
         with pytest.raises(ValueError):
-            initial_bisection(path4, 1.0, seed=0)
+            initial_bisection(path4, 1.0, start=0)
 
     @pytest.mark.parametrize("start", [-1, 4])
     def test_start_outside_the_vertices_is_refused(self, path4, start):
         with pytest.raises(ValueError, match=rf"start vertex {start} is outside \[0, 4\)"):
-            initial_bisection(path4, 0.5, seed=0, start=start)
+            initial_bisection(path4, 0.5, start=start)
 
 
 class TestFMRefine:
@@ -175,10 +174,13 @@ class TestFMRefine:
         out = fm_refine(g, Partition([0, 1], 2), 0.5, 0.0)
         assert out.parts.tolist() == [0, 1]
 
-    def test_infeasible_window_warns_and_returns_input(self, path4):
-        with pytest.warns(BalanceWindowWarning):
+    def test_out_of_window_input_is_refined_not_refused(self, path4):
+        # Part 0 weighs 3 against a target of 2: the window widens to admit it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = fm_refine(path4, Partition([0, 0, 0, 1], 2), 0.5, 0.0)
-        assert out.parts.tolist() == [0, 0, 0, 1]
+        assert edge_cut(path4, out) <= 1
+        assert abs(int((out.parts == 0).sum()) - 2) <= 1
 
     def test_empty_and_single_vertex_graphs(self):
         empty = fm_refine(build_graph([], 0), Partition(np.zeros(0, dtype=np.int64), 2), 0.5, 0.1)
@@ -189,6 +191,17 @@ class TestFMRefine:
     def test_requires_two_parts(self, path4):
         with pytest.raises(ValueError):
             fm_refine(path4, Partition([0, 1, 2, 0], 3), 0.5, 0.1)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -0.1])
+    def test_tolerance_must_be_finite_and_non_negative(self, path4, tol):
+        # Taken silently, inf would return [0, 0, 0, 0] and leave part 1 empty.
+        with pytest.raises(ValueError, match="^imbalance_tol must be a finite number >= 0, got "):
+            fm_refine(path4, Partition([0, 1, 0, 1], 2), 0.5, tol)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, float("nan")])
+    def test_target_fraction_must_lie_strictly_between_zero_and_one(self, path4, target):
+        with pytest.raises(ValueError, match=r"^target_fraction must lie in \(0, 1\)$"):
+            fm_refine(path4, Partition([0, 1, 0, 1], 2), target, 0.1)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -206,9 +219,34 @@ class TestFMRefine:
             out = fm_refine(g, p, target, rng.random() * 0.5)
         assert edge_cut(g, out) <= before
 
+    @given(
+        st.integers(0, 10_000),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=0.0, allow_infinity=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_window_refines_without_warning_within_the_widened_window(
+        self, seed, target_fraction, tol
+    ):
+        rng = random.Random(seed)
+        g, _, nv = random_graph(rng, 12)
+        if nv < 2:
+            return
+        p = random_two_sided(rng, nv)
+        total = g.total_vertex_weight
+        target = target_fraction * total
+        dev_in = abs(int(g.vertex_weights[p.parts == 0].sum()) - target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fm_refine(g, p, target_fraction, tol)
+        assert edge_cut(g, out) <= edge_cut(g, p)
+        dev_out = abs(int(g.vertex_weights[out.parts == 0].sum()) - target)
+        window = max(tol, dev_in / total + 1e-12) * total
+        assert dev_out <= window + 1e-9 * max(1.0, total)
+
 
 # Reference engine: the O(n)-per-move argmax scans the gain heaps replaced,
-# kept verbatim as the oracle for exact selection (highest gain, then lowest id).
+# kept as the oracle for exact selection (highest gain, then lowest id).
 
 
 def _scan_apply_move_gains(g, parts, gains, v):
@@ -224,13 +262,11 @@ def _scan_fm_refine(g, p, target_fraction, imbalance_tol, max_passes=10):
     vw = g.vertex_weights
     total = g.total_vertex_weight
     target = target_fraction * total
-    window = imbalance_tol * total
-    eps = 1e-9 * max(1.0, total)
     parts = p.parts.copy()
     w0 = int(vw[parts == 0].sum())
-    if abs(w0 - target) > window + eps:
-        warnings.warn("outside the window", BalanceWindowWarning)
-        return Partition(parts, 2)
+    # The window widens to the input's own deviation, as in fm_refine.
+    window = max(imbalance_tol, abs(w0 - target) / total + 1e-12) * total
+    eps = 1e-9 * max(1.0, total)
     ids = np.arange(nv, dtype=np.int64)
     cut = edge_cut(g, Partition(parts, 2))
     for _ in range(max_passes):
@@ -328,19 +364,16 @@ class TestGainHeapEngine:
         if rng.random() < 0.5:
             target = w0 / total  # the window admits the input
         else:
-            target = rng.uniform(0.05, 0.95)  # may lie outside and warn
+            target = rng.uniform(0.05, 0.95)  # may lie outside tol; the window widens
         tol = rng.choice([0.0, rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.5)])
         passes = rng.choice([1, 2, 10])
-        with warnings.catch_warnings(record=True) as expected_warnings:
-            warnings.simplefilter("always")
-            expected = _scan_fm_refine(g, p, target, tol, passes)
+        expected = _scan_fm_refine(g, p, target, tol, passes)
         with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
             with mock.patch.object(kway, "_MAX_FM_PASSES", passes):
                 got = fm_refine(g, p, target, tol)
         assert got.parts.tobytes() == expected.parts.tobytes()
-        assert [w.category for w in got_warnings] == [w.category for w in expected_warnings]
-        assert len(got_warnings) == (abs(w0 - target * total) > tol * total + 1e-9 * total)
+        assert got_warnings == []
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=150, deadline=None)
@@ -384,18 +417,16 @@ class TestGainHeapEngine:
         if rng.random() < 0.5:
             p = random_two_sided(rng, nv)
         else:
-            p = initial_bisection(g, rng.uniform(0.2, 0.8), seed=seed)
+            p = initial_bisection(g, rng.uniform(0.2, 0.8), start=random.Random(seed).randrange(nv))
         w0 = int(g.vertex_weights[p.parts == 0].sum())
         target = w0 / total if rng.random() < 0.75 else rng.uniform(0.2, 0.8)
         tol = rng.choice([0.0, rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.5)])
         passes = rng.choice([1, 10])
         # Ten passes is fm_refine's own limit, so only one pass needs a patch.
         limit = mock.patch.object(kway, "_MAX_FM_PASSES", 1) if passes == 1 else nullcontext()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BalanceWindowWarning)
-            expected = _scan_fm_refine(g, p, target, tol, passes)
-            with limit:
-                got = fm_refine(g, p, target, tol)
+        expected = _scan_fm_refine(g, p, target, tol, passes)
+        with limit:
+            got = fm_refine(g, p, target, tol)
         assert got.parts.tobytes() == expected.parts.tobytes()
 
         expected = _scan_rebalance(g, p.parts.copy(), target)
@@ -557,7 +588,7 @@ class TestRefinementCallStructure:
 
         monkeypatch.setattr(kway, "fm_refine", fm)
         monkeypatch.setattr(kway, "initial_bisection", init)
-        kway._multilevel_bisect(g, target_fraction, 0.03, seed)
+        kway._multilevel_bisect(g, target_fraction, 0.03, seed, (1, 1))
         chain = kway._coarsening_chain(g, seed)
         assert chain and starts
         assert all(isinstance(graph, Graph) for graph, _ in fm_args)
