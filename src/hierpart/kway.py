@@ -178,17 +178,18 @@ def coarsen(g: Graph, mates: Sequence[int]) -> CoarseningLevel:
     next_id = int(representative.sum())
     projection = (np.cumsum(representative) - 1)[np.minimum(ids, mates)]
 
-    coarse_vwgt = np.bincount(projection, weights=g.vertex_weights, minlength=next_id).astype(
-        np.int64
-    )
-    # Each undirected fine edge contributes once (cu < cv); parallel edges
-    # between the same coarse pair merge by summing their weights.
+    # Weights sum exactly in int64 (bincount would sum in float64). Each
+    # undirected fine edge contributes once (cu < cv); parallel edges between
+    # the same coarse pair merge by summing their weights.
+    coarse_vwgt = np.zeros(next_id, dtype=np.int64)
+    np.add.at(coarse_vwgt, projection, g.vertex_weights)
     src = np.repeat(ids, np.diff(g.adjacency_offsets))
     cu, cv = projection[src], projection[g.adjacency_list]
     forward = cu < cv
     keys, inverse = np.unique(cu[forward] * next_id + cv[forward], return_inverse=True)
-    merged = np.bincount(inverse, weights=g.edge_weights[forward], minlength=len(keys))
-    edges = np.column_stack([keys // next_id, keys % next_id, merged.astype(np.int64)])
+    merged = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(merged, inverse, g.edge_weights[forward])
+    edges = np.column_stack([keys // next_id, keys % next_id, merged])
     return CoarseningLevel(build_graph(edges, next_id, coarse_vwgt), projection)
 
 
@@ -259,7 +260,9 @@ def _compute_gains(g: Graph, parts: np.ndarray) -> np.ndarray:
     """Cut reduction achieved by moving each vertex to the other side."""
     src = np.repeat(np.arange(g.num_vertices), np.diff(g.adjacency_offsets))
     signed = np.where(parts[src] != parts[g.adjacency_list], g.edge_weights, -g.edge_weights)
-    return np.bincount(src, weights=signed, minlength=g.num_vertices).astype(np.int64)
+    gains = np.zeros(g.num_vertices, dtype=np.int64)
+    np.add.at(gains, src, signed)  # in int64: bincount would sum in float64
+    return gains
 
 
 class _GainHeaps:
@@ -590,6 +593,16 @@ def partition_kway(
     _refuse_part_count(g.num_vertices, k)
     if w is None:
         w = TargetWeights.uniform(k)
+    spans = [w.fractions]  # every split _recurse will make, checked before the first
+    for fractions in spans:
+        if len(fractions) > 1:
+            mid = (len(fractions) + 1) // 2
+            if not 0.0 < _left_fraction(fractions) < 1.0:
+                raise ValueError(
+                    f"target fractions {fractions.tolist()} cannot be bisected: "
+                    f"the first {mid}'s share of their sum rounds to 1"
+                )
+            spans += [fractions[:mid], fractions[mid:]]
     if min_part_counts is None:
         mins = np.ones(k, dtype=np.int64)
     else:
@@ -602,6 +615,11 @@ def partition_kway(
     return Partition(_recurse(g, w.fractions, mins, seed, imbalance_tol / depth), k)
 
 
+def _left_fraction(fractions: np.ndarray) -> float:
+    """The first ⌈k/2⌉ of ``k`` target fractions' share of their sum."""
+    return float(fractions[: (len(fractions) + 1) // 2].sum() / fractions.sum())
+
+
 def _recurse(
     g: Graph, fractions: np.ndarray, mins: np.ndarray, seed: int, tol: float
 ) -> np.ndarray:
@@ -610,9 +628,8 @@ def _recurse(
     if k == 1:
         return np.zeros(g.num_vertices, dtype=np.int64)
     mid = (k + 1) // 2
-    left_fraction = float(fractions[:mid].sum() / fractions.sum())
     min_counts = (int(mins[:mid].sum()), int(mins[mid:].sum()))
-    sides = _multilevel_bisect(g, left_fraction, tol, seed, min_counts)
+    sides = _multilevel_bisect(g, _left_fraction(fractions), tol, seed, min_counts)
     # A one-part half is labelled as it stands (0 left, mid right); only the
     # halves that split again are extracted, side by side when both do.
     parts = sides * mid

@@ -208,6 +208,14 @@ class TestExitCodes:
         assert code == 4
         assert "g.txt:4" in capsys.readouterr().err
 
+    def test_one_sided_repeated_listing_is_4(self, tmp_path, capsys):
+        bad = tmp_path / "g.txt"
+        bad.write_text("2 1\n2 2\n\n")
+        out = tmp_path / "p.txt"
+        assert run("partition", "--graph", bad, "--np", 2, "--out", out) == 4
+        assert capsys.readouterr().err.endswith("g.txt:2: edge (0, 1) not listed symmetrically\n")
+        assert not out.exists()
+
     def test_conflicting_inputs_is_2(self, tmp_path, capsys):
         mesh = tmp_path / "m.txt"
         run("gen-mesh", "--nx", 2, "--ny", 1, "--out", mesh)

@@ -73,6 +73,13 @@ def test_extract_subgraph_follows_given_order():
     sub.validate()
 
 
+def test_extract_subgraph_refuses_a_graph_that_is_not_simple():
+    # Vertex 0 lists vertex 1 twice.
+    g = Graph(np.array([0, 2, 4]), np.array([1, 1, 0, 0]), np.ones(4), np.ones(2))
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        extract_subgraph(g, [0, 1])
+
+
 def test_extract_subgraph_rejects_duplicates():
     g = build_graph([(0, 1, 1)], 2)
     with pytest.raises(ValueError):
@@ -192,6 +199,10 @@ def test_read_graph_errors(tmp_path):
 
     p.write_text("2 1\n2\n\n")  # vertex 1 never lists vertex 0 back
     with pytest.raises(FileFormatError, match="symmetric"):
+        read_graph(str(p))
+
+    p.write_text("2 1\n2 2\n\n")  # vertex 0 lists vertex 1 twice, vertex 1 lists nothing
+    with pytest.raises(FileFormatError, match=r"bad\.txt:2: edge \(0, 1\) not listed symmetrically$"):
         read_graph(str(p))
 
     p.write_text("2 5\n2\n1\n")

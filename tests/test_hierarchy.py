@@ -27,7 +27,6 @@ class TestComputeSplits:
     def test_remainder_becomes_leading_group(self):
         plan = compute_splits(10, 4)
         assert plan.num_groups == 3
-        assert plan.remainder == 2
         assert plan.group_counts.tolist() == [2, 4, 4]
         assert plan.weights.fractions.tolist() == [0.2, 0.4, 0.4]
         assert plan.offsets.tolist() == [0, 2, 6]

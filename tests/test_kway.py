@@ -110,6 +110,14 @@ class TestCoarsen:
         assert level.graph.num_vertices == 2
         assert level.graph.edge_weights.tolist() == [2, 2]
 
+    def test_weights_past_2_to_the_53_sum_exactly(self):
+        # Summed in float64, B + 1 would round back to B.
+        big = 2**53
+        g = build_graph([(0, 2, big), (1, 3, 1), (0, 1, 1), (2, 3, 1)], 4, [big, 1, 1, 1])
+        level = coarsen(g, [1, 0, 3, 2])
+        assert level.graph.edge_weights.tolist() == [big + 1, big + 1]
+        assert level.graph.vertex_weights.tolist() == [big + 1, 2]
+
     def test_invalid_matching_rejected(self, path4):
         with pytest.raises(ValueError, match="symmetric"):
             coarsen(path4, [1, 2, 0, 3])
@@ -191,6 +199,16 @@ class TestFMRefine:
     def test_requires_two_parts(self, path4):
         with pytest.raises(ValueError):
             fm_refine(path4, Partition([0, 1, 2, 0], 3), 0.5, 0.1)
+
+    def test_edge_weights_past_2_to_the_53_keep_the_cut(self):
+        # Gains summed in float64 lose the +4 and +8 next to 2**53, and FM
+        # then takes a move that raises the cut from 4 to 5.
+        big = 2**53
+        g = build_graph([(0, 3, big + 4), (0, 4, 4), (1, 2, 3), (1, 4, big + 8), (2, 3, 1)], 5)
+        p = Partition([0, 0, 1, 0, 0], 2)
+        assert edge_cut(g, p) == 4
+        assert _compute_gains(g, p.parts).tolist() == [-big - 8, -big - 5, 4, -big - 3, -big - 12]
+        assert edge_cut(g, fm_refine(g, p, 0.5, 0.1)) <= 4
 
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -0.1])
     def test_tolerance_must_be_finite_and_non_negative(self, path4, tol):
@@ -521,6 +539,22 @@ class TestPartitionKway:
             partition_kway(g, 4, None, seed=0, imbalance_tol=tol)
         with pytest.raises(ValueError, match="^imbalance_tol must be a finite number >= 0, got "):
             hierarchical_partition(g, 4, 2, seed=0, imbalance_tol=tol)
+
+    @pytest.mark.parametrize("fractions, message", [
+        ([1.0, 1e-300], r"^target fractions \[1\.0, 1e-300\] cannot be bisected: the first 1's "),
+        ([0.5, 0.5, 1e-17], r"^target fractions \[0\.5, 0\.5, 1e-17\] cannot be bisected: "),
+    ])
+    def test_target_share_that_rounds_to_one_is_refused_up_front(self, fractions, message):
+        g = dual_graph(generate_structured_quad(4, 4))
+        with mock.patch.object(kway, "_multilevel_bisect") as bisect:
+            with pytest.raises(ValueError, match=message):
+                partition_kway(g, len(fractions), TargetWeights(fractions), 0)
+        bisect.assert_not_called()
+
+    def test_tiny_leading_target_still_partitions(self):
+        g = dual_graph(generate_structured_quad(4, 4))
+        p = partition_kway(g, 2, TargetWeights([1e-300, 1.0]), 0)
+        assert p.part_sizes().tolist() == [1, 15]
 
     def test_zero_tolerance_is_accepted(self):
         g = dual_graph(generate_structured_quad(16, 16))

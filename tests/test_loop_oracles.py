@@ -1,8 +1,9 @@
 """The array passes of the adjacency layer against the loops they replaced.
 
 Each ``_loop_*`` function below is the earlier per-vertex / per-element Python
-implementation, kept verbatim (apart from its name and the names it calls) as
-an independent reference. Every test asserts identical arrays, identical file
+implementation, kept verbatim (apart from its name and the names it calls,
+and the ascending local runs of ``_loop_extract_subgraph``) as an independent
+reference. Every test asserts identical arrays, identical file
 bytes, or the identical exception type and message, on random and malformed
 inputs. The fuzzed mesh and id files also drive ``main()`` itself, which must
 end in exit 0, 2, 3 or 4.
@@ -181,8 +182,10 @@ def _loop_extract_subgraph(graph, vertex_set):
         nbrs = graph.neighbors(g)
         mapped = global_to_local[nbrs]
         keep = mapped >= 0
-        adj_parts.append(mapped[keep])
-        wgt_parts.append(_neighbor_weights(graph, g)[keep])
+        # Each local run is ascending, whatever the order of vertex_set.
+        order = np.argsort(mapped[keep], kind="stable")
+        adj_parts.append(mapped[keep][order])
+        wgt_parts.append(_neighbor_weights(graph, g)[keep][order])
         offsets[local + 1] = offsets[local] + keep.sum()
     adj = np.concatenate(adj_parts) if adj_parts else np.zeros(0, dtype=np.int64)
     wgt = np.concatenate(wgt_parts) if wgt_parts else np.zeros(0, dtype=np.int64)
@@ -658,6 +661,9 @@ class TestGraphLayer:
         else:
             assert _graph_bytes(got[0]) == _graph_bytes(expected[0])
             assert got[1].tobytes() == expected[1].tobytes()
+            sub = got[0]
+            for v in range(sub.num_vertices):
+                assert np.all(np.diff(sub.neighbors(v)) > 0)
 
 
 class TestContraction:
