@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InfeasibleError", "FileFormatError"]
+
 
 class InfeasibleError(Exception):
     """A request that no valid output can satisfy (e.g. more parts than vertices)."""

@@ -2,7 +2,9 @@
 
 Graphs are immutable after construction and safe to share between threads.
 Vertex and edge weights are positive integers so that all balance arithmetic
-stays exact.
+stays exact. :func:`build_graph` refuses a graph whose vertex weights total
+2**63 or more, or whose edge weights total 2**62 or more, so that every total,
+cut and gain (up to twice the edge weights) fits in int64.
 """
 
 from __future__ import annotations
@@ -75,13 +77,11 @@ class Graph:
     def total_vertex_weight(self) -> int:
         return int(self.vertex_weights.sum())
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adjacency_list[self.adjacency_offsets[v]:self.adjacency_offsets[v + 1]]
-
     def validate(self) -> None:
         """Full structural check: symmetry, no self-loops, no duplicate neighbors.
 
-        O(E log E); intended for tests and file ingestion, not hot paths.
+        O(E log E); it checks graphs built by hand, since :func:`build_graph`
+        already refuses what it would find.
         """
         if np.any(self.vertex_weights < 1) or np.any(self.edge_weights < 1):
             raise ValueError("weights must be positive integers")
@@ -154,7 +154,9 @@ def build_graph(
     Each entry is ``(u, v, weight)`` with ``u != v``; an ``(m, 3)`` integer
     array is accepted as well. Duplicate edges (in either orientation),
     self-loops, out-of-range ids, and non-positive weights are rejected with
-    ValueError, naming the first bad edge in input order.
+    ValueError, naming the first bad edge in input order. So are vertex
+    weights that total 2**63 or more and edge weights that total 2**62 or
+    more, which would wrap the int64 totals, cuts and gains computed from them.
     """
     if num_vertices < 0:
         raise ValueError("num_vertices must be non-negative")
@@ -176,6 +178,10 @@ def build_graph(
         raise ValueError("edges must be (u, v, weight) triples")
     u, v, w = edges.T
     _check_edges(u, v, w, num_vertices)
+    if _exact_sum(vwgt) >= 2**63:
+        raise ValueError("vertex weights must total less than 2**63")
+    if _exact_sum(w) >= 2**62:
+        raise ValueError("edge weights must total less than 2**62")
 
     # Each edge is stored from both ends; sorting by (source, neighbor) makes
     # every adjacency run ascending, so traversal order is canonical.
@@ -185,6 +191,11 @@ def build_graph(
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
     return Graph(offsets, dst[order], np.concatenate([w, w])[order], vwgt)
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """The sum of non-negative int64 values, exact: halves are summed apart."""
+    return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
 
 
 def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int) -> None:

@@ -206,10 +206,11 @@ def _check_imbalance_tol(imbalance_tol: float) -> None:
 def initial_bisection(g: Graph, target_fraction: float, start: int) -> Partition:
     """Bisect by growing a breadth-first region until it holds the target weight.
 
-    Growth begins at vertex ``start``, absorbs vertices in BFS order
-    (neighbors by ascending id), jumps to the lowest-id unreached vertex when
-    a component is exhausted, and stops as soon as the accumulated vertex
-    weight reaches ``target_fraction`` of the total. The grown region is part 0.
+    The breadth-first walk starts at vertex ``start`` and then at every vertex
+    not yet reached, lowest id first; neighbors are queued by ascending id. A
+    vertex joins the region, part 0, when it leaves the queue, and the walk
+    stops as soon as the region's vertex weight reaches ``target_fraction`` of
+    the total.
     """
     nv = g.num_vertices
     if nv == 0:
@@ -219,40 +220,27 @@ def initial_bisection(g: Graph, target_fraction: float, start: int) -> Partition
         raise ValueError(f"start vertex {start} is outside [0, {nv})")
     threshold = target_fraction * g.total_vertex_weight
 
-    parts = np.ones(nv, dtype=np.int64)
-    in_region = np.zeros(nv, dtype=bool)
-    queue: deque[int] = deque()
+    offsets = g.adjacency_offsets.tolist()
+    adjacency = g.adjacency_list.tolist()
+    weights = g.vertex_weights.tolist()
+    parts = [1] * nv
+    seen = [False] * nv
     acc = 0
-    next_unvisited = 0
-
-    def absorb(v: int) -> int:
-        nonlocal acc
-        in_region[v] = True
-        parts[v] = 0
-        queue.append(v)
-        acc += int(g.vertex_weights[v])
-        return acc
-
-    if absorb(int(start)) >= threshold:
-        return Partition(parts, 2)
-    while True:
-        if not queue:
-            while next_unvisited < nv and in_region[next_unvisited]:
-                next_unvisited += 1
-            if next_unvisited >= nv:
-                break
-            if absorb(next_unvisited) >= threshold:
-                break
+    for root in itertools.chain((int(start),), range(nv)):
+        if seen[root]:
             continue
-        v = queue.popleft()
-        done = False
-        for u in g.neighbors(v):
-            if not in_region[u]:
-                if absorb(int(u)) >= threshold:
-                    done = True
-                    break
-        if done:
-            break
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            parts[v] = 0
+            acc += weights[v]
+            if acc >= threshold:
+                return Partition(parts, 2)
+            for u in adjacency[offsets[v]:offsets[v + 1]]:
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
     return Partition(parts, 2)
 
 

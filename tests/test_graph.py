@@ -26,7 +26,7 @@ from hierpart import (
 
 def test_build_graph_sorts_neighbors():
     g = build_graph([(0, 2, 1), (0, 1, 3)], 3)
-    assert g.neighbors(0).tolist() == [1, 2]
+    assert g.adjacency_list[g.adjacency_offsets[0]:g.adjacency_offsets[1]].tolist() == [1, 2]
     assert g.edge_weights[g.adjacency_offsets[0]:g.adjacency_offsets[1]].tolist() == [3, 1]
     assert g.num_edges == 2
     assert np.diff(g.adjacency_offsets).tolist() == [2, 1, 1]
@@ -45,6 +45,24 @@ def test_build_graph_rejects_bad_edges():
         build_graph([], 2, vertex_weights=[1])
     with pytest.raises(ValueError):
         build_graph([], 2, vertex_weights=[1, 0])
+
+
+def test_build_graph_refuses_totals_that_wrap_int64():
+    # int64 sums would give a cut of 0 and a negative total here.
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        build_graph([(0, 1, 2**62), (1, 2, 2**62)], 3, [2**62] * 3)
+
+
+def test_build_graph_admits_totals_up_to_the_bound():
+    vertex_weights = [2**61, 2**61, 2**62 - 1]
+    g = build_graph([(0, 1, 2**61), (1, 2, 2**61 - 1)], 3, vertex_weights)
+    assert g.total_vertex_weight == 2**63 - 1
+    assert edge_cut(g, Partition([0, 1, 0], 2)) == 2**62 - 1
+    # One unit more on either total is refused.
+    with pytest.raises(ValueError, match=r"vertex weights must total less than 2\*\*63"):
+        build_graph([(0, 1, 2**61), (1, 2, 2**61 - 1)], 3, [2**61, 2**61, 2**62])
+    with pytest.raises(ValueError, match=r"edge weights must total less than 2\*\*62"):
+        build_graph([(0, 1, 2**61), (1, 2, 2**61)], 3, vertex_weights)
 
 
 def test_validate_catches_asymmetry():
@@ -67,7 +85,7 @@ def test_extract_subgraph_follows_given_order():
     sub, back = extract_subgraph(g, [3, 1, 0])
     assert back.tolist() == [3, 1, 0]
     # local 0 = global 3: keeps only the edge to global 0 (local 2), weight 5
-    assert sub.neighbors(0).tolist() == [2]
+    assert sub.adjacency_list[sub.adjacency_offsets[0]:sub.adjacency_offsets[1]].tolist() == [2]
     assert sub.edge_weights[sub.adjacency_offsets[0]:sub.adjacency_offsets[1]].tolist() == [5]
     assert sub.num_edges == 2  # (3,0) and (0,1); (1,2) and (2,3) drop out
     sub.validate()

@@ -268,7 +268,7 @@ class TestFMRefine:
 
 
 def _scan_apply_move_gains(g, parts, gains, v):
-    nbrs = g.neighbors(v)
+    nbrs = g.adjacency_list[g.adjacency_offsets[v]:g.adjacency_offsets[v + 1]]
     wgts = g.edge_weights[g.adjacency_offsets[v]:g.adjacency_offsets[v + 1]]
     same = parts[nbrs] == parts[v]
     gains[nbrs] += np.where(same, -2 * wgts, 2 * wgts)

@@ -16,6 +16,7 @@ import os
 import random
 import tempfile
 import warnings
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -37,6 +38,7 @@ from hierpart import (
     generate_structured_hex,
     generate_structured_quad,
     heavy_edge_match,
+    initial_bisection,
     partition_kway,
     read_mesh,
     read_ownership,
@@ -159,6 +161,11 @@ def _loop_validate(self):
             raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
+def _neighbors(graph, v):
+    """The neighbor ids of ``v``'s adjacency run."""
+    return graph.adjacency_list[graph.adjacency_offsets[v]:graph.adjacency_offsets[v + 1]]
+
+
 def _neighbor_weights(graph, v):
     """The edge weights of ``v``'s adjacency run."""
     return graph.edge_weights[graph.adjacency_offsets[v]:graph.adjacency_offsets[v + 1]]
@@ -179,7 +186,7 @@ def _loop_extract_subgraph(graph, vertex_set):
     adj_parts = []
     wgt_parts = []
     for local, g in enumerate(local_to_global):
-        nbrs = graph.neighbors(g)
+        nbrs = _neighbors(graph, g)
         mapped = global_to_local[nbrs]
         keep = mapped >= 0
         # Each local run is ascending, whatever the order of vertex_set.
@@ -196,7 +203,7 @@ def _loop_extract_subgraph(graph, vertex_set):
 def _loop_write_graph(graph, path):
     lines = [f"{graph.num_vertices} {graph.num_edges}"]
     for v in range(graph.num_vertices):
-        lines.append(" ".join(str(int(u) + 1) for u in graph.neighbors(v)))
+        lines.append(" ".join(str(int(u) + 1) for u in _neighbors(graph, v)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -219,7 +226,7 @@ def _loop_heavy_edge_match(g, seed, order=None):
             continue
         best = -1
         best_w = 0
-        for u, w in zip(g.neighbors(v), _neighbor_weights(g, v)):
+        for u, w in zip(_neighbors(g, v), _neighbor_weights(g, v)):
             u, w = int(u), int(w)
             if mates[u] != u or u == v:
                 continue
@@ -260,6 +267,57 @@ def _loop_coarsen(g, mates):
             merged[key] = merged.get(key, 0) + int(w)
     edges = [(a, b, w) for (a, b), w in merged.items()]
     return _loop_build_graph(edges, next_id, coarse_vwgt), projection
+
+
+def _loop_check_target_fraction(target_fraction):
+    if not (0.0 < target_fraction < 1.0):
+        raise ValueError("target_fraction must lie in (0, 1)")
+
+
+def _loop_initial_bisection(g, target_fraction, start):
+    nv = g.num_vertices
+    if nv == 0:
+        raise ValueError("cannot bisect an empty graph")
+    _loop_check_target_fraction(target_fraction)
+    if not 0 <= start < nv:
+        raise ValueError(f"start vertex {start} is outside [0, {nv})")
+    threshold = target_fraction * g.total_vertex_weight
+
+    parts = np.ones(nv, dtype=np.int64)
+    in_region = np.zeros(nv, dtype=bool)
+    queue: deque[int] = deque()
+    acc = 0
+    next_unvisited = 0
+
+    def absorb(v: int) -> int:
+        nonlocal acc
+        in_region[v] = True
+        parts[v] = 0
+        queue.append(v)
+        acc += int(g.vertex_weights[v])
+        return acc
+
+    if absorb(int(start)) >= threshold:
+        return Partition(parts, 2)
+    while True:
+        if not queue:
+            while next_unvisited < nv and in_region[next_unvisited]:
+                next_unvisited += 1
+            if next_unvisited >= nv:
+                break
+            if absorb(next_unvisited) >= threshold:
+                break
+            continue
+        v = queue.popleft()
+        done = False
+        for u in _neighbors(g, v):
+            if not in_region[u]:
+                if absorb(int(u)) >= threshold:
+                    done = True
+                    break
+        if done:
+            break
+    return Partition(parts, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +721,7 @@ class TestGraphLayer:
             assert got[1].tobytes() == expected[1].tobytes()
             sub = got[0]
             for v in range(sub.num_vertices):
-                assert np.all(np.diff(sub.neighbors(v)) > 0)
+                assert np.all(np.diff(_neighbors(sub, v)) > 0)
 
 
 class TestContraction:
@@ -683,6 +741,39 @@ class TestContraction:
         expected_graph, expected_projection = _loop_coarsen(g, mates)
         assert step.projection.tobytes() == expected_projection.tobytes()
         assert _graph_bytes(step.graph) == _graph_bytes(expected_graph)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300, deadline=None)
+    def test_initial_bisection_matches_loop(self, seed):
+        rng = random.Random(seed)
+        nv = rng.randint(1, 14)
+        # Edges only inside random components, some of them single vertices.
+        component = [rng.randrange(rng.randint(1, 4)) for _ in range(nv)]
+        density = rng.random()
+        edges = [
+            (u, v, 1)
+            for u in range(nv)
+            for v in range(u + 1, nv)
+            if component[u] == component[v] and rng.random() < density
+        ]
+        g = build_graph(edges, nv, [rng.randint(1, 100) for _ in range(nv)])
+        fractions = [rng.random(), 5e-324, 1e-12, 0.5, 1 - 1e-12, math.nextafter(1.0, 0.0)]
+        fractions += [0.0, 1.0, -0.25, 1.5, math.nan]  # refused
+        for fraction in fractions:
+            for start in range(-1, nv + 1):
+                expected = _outcome(_loop_initial_bisection, g, fraction, start)
+                got = _outcome(initial_bisection, g, fraction, start)
+                if isinstance(expected, tuple):
+                    assert got == expected
+                else:
+                    assert got.num_parts == 2
+                    assert got.parts.dtype == np.int64
+                    assert got.parts.tobytes() == expected.parts.tobytes()
+
+    def test_initial_bisection_of_empty_graph(self):
+        g = build_graph([], 0)
+        expected = _outcome(_loop_initial_bisection, g, 0.5, 0)
+        assert _outcome(initial_bisection, g, 0.5, 0) == expected
 
     def test_coarsen_of_empty_graph(self):
         g = build_graph([], 0)

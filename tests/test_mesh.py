@@ -112,8 +112,8 @@ class TestDualGraph:
         g = dual_graph(generate_structured_quad(2, 2))
         assert (g.num_vertices, g.num_edges) == (4, 4)
         # corner-only contact never makes an edge
-        assert 3 not in g.neighbors(0)
-        assert 2 not in g.neighbors(1)
+        assert 3 not in g.adjacency_list[g.adjacency_offsets[0]:g.adjacency_offsets[1]]
+        assert 2 not in g.adjacency_list[g.adjacency_offsets[1]:g.adjacency_offsets[2]]
 
     def test_two_hexes(self):
         g = dual_graph(generate_structured_hex(2, 1, 1))
