@@ -80,11 +80,16 @@ class Graph:
     def validate(self) -> None:
         """Full structural check: symmetry, no self-loops, no duplicate neighbors.
 
-        O(E log E); it checks graphs built by hand, since :func:`build_graph`
-        already refuses what it would find.
+        Weight totals are bounded as :func:`build_graph` bounds them. O(E log E);
+        it checks graphs built by hand, since :func:`build_graph` already
+        refuses what it would find.
         """
         if np.any(self.vertex_weights < 1) or np.any(self.edge_weights < 1):
             raise ValueError("weights must be positive integers")
+        if _exact_sum(self.vertex_weights) >= 2**63:
+            raise ValueError("vertex weights must total less than 2**63")
+        if _exact_sum(self.edge_weights) >= 2**63:  # every edge is stored twice
+            raise ValueError("edge weights must total less than 2**62")
         src = np.repeat(np.arange(self.num_vertices), np.diff(self.adjacency_offsets))
         if np.any(src == self.adjacency_list):
             raise ValueError("self-loop present")
@@ -156,10 +161,14 @@ def build_graph(
     self-loops, out-of-range ids, and non-positive weights are rejected with
     ValueError, naming the first bad edge in input order. So are vertex
     weights that total 2**63 or more and edge weights that total 2**62 or
-    more, which would wrap the int64 totals, cuts and gains computed from them.
+    more, which would wrap the int64 totals, cuts and gains computed from them,
+    and 2**31 vertices or more, whose edge keys ``u * num_vertices + v``
+    would wrap int64 too.
     """
     if num_vertices < 0:
         raise ValueError("num_vertices must be non-negative")
+    if num_vertices >= 2**31:
+        raise ValueError("num_vertices must be less than 2**31")
     if vertex_weights is None:
         vwgt = np.ones(num_vertices, dtype=np.int64)
     else:
@@ -176,7 +185,7 @@ def build_graph(
         edges = edges.reshape(0, 3)  # [] and empty arrays of any shape
     if edges.ndim != 2 or edges.shape[1] != 3:
         raise ValueError("edges must be (u, v, weight) triples")
-    u, v, w = edges.T
+    u, v, w = np.ascontiguousarray(edges.T)  # contiguous columns compare faster
     _check_edges(u, v, w, num_vertices)
     if _exact_sum(vwgt) >= 2**63:
         raise ValueError("vertex weights must total less than 2**63")
@@ -187,7 +196,7 @@ def build_graph(
     # every adjacency run ascending, so traversal order is canonical.
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
+    order = np.argsort(src * num_vertices + dst, kind="stable")
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
     return Graph(offsets, dst[order], np.concatenate([w, w])[order], vwgt)
@@ -207,12 +216,15 @@ def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int)
     m = len(u)
     bad = (u == v) | (u < 0) | (u >= num_vertices) | (v < 0) | (v >= num_vertices) | (w < 1)
     first_bad = int(np.argmax(bad)) if bad.any() else m
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))  # stable: a key's first occurrence leads its run
-    same = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
-    repeats = order[1:][same]
+    # Stable: a key's first occurrence leads its run, and the rest are flagged.
+    keys = np.minimum(u, v) * num_vertices + np.maximum(u, v)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
     first_repeat = int(repeats.min()) if len(repeats) else m
-    # Every edge before first_bad is valid, so a repeat there repeats a valid edge.
+    # Every edge before first_bad is valid, and valid edges share a key only
+    # when they are the same edge, so a flag there marks a true repeat. An
+    # out-of-range edge's key may equal another's, but it flags nothing sooner.
     i = min(first_bad, first_repeat)
     if i == m:
         return
@@ -308,12 +320,34 @@ def balance_stats(sizes: Sequence[int]) -> BalanceStats:
 # ---------------------------------------------------------------------------
 
 
+# Writers format and write this many rows (vertices, for a graph) at a time,
+# so their memory stays bounded whatever the size of the file.
+_BLOCK_ROWS = 4096
+
+
+def _write_rows(fh, rows: np.ndarray, spec: str) -> None:
+    """Write a 2-D array to ``fh``, one line of space-separated values per row.
+
+    ``spec`` is ``%d`` for integers, which formats as ``str(int)``, or ``%r``
+    for floats, which formats as ``repr(float)``. Each block of rows is
+    formatted by one ``%`` operation.
+    """
+    line = " ".join([spec] * rows.shape[1]) + "\n"
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[first:first + _BLOCK_ROWS]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_graph(graph: Graph, path: str) -> None:
-    bounds, ids = graph.adjacency_offsets.tolist(), (graph.adjacency_list + 1).tolist()
-    lines = [f"{graph.num_vertices} {graph.num_edges}"]
-    lines += [" ".join(map(str, ids[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    offsets = graph.adjacency_offsets
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{graph.num_vertices} {graph.num_edges}\n")
+        for first in range(0, graph.num_vertices, _BLOCK_ROWS):
+            bounds = offsets[first:first + _BLOCK_ROWS + 1]
+            ids = (graph.adjacency_list[bounds[0]:bounds[-1]] + 1).tolist()
+            bounds = (bounds - bounds[0]).tolist()
+            lines = [" ".join(map(str, ids[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+            fh.write("\n".join(lines) + "\n")
 
 
 def _read_lines(path: str) -> list[str]:
@@ -375,9 +409,8 @@ def write_partition(partition: Partition, path: str) -> None:
 
 def _write_ids(ids: np.ndarray, path: str) -> None:
     """Write one id per line, the format :func:`_read_ids` reads back."""
-    text = "\n".join(map(str, ids.tolist()))
     with open(path, "w") as fh:
-        fh.write(text + "\n" if text else "")
+        _write_rows(fh, ids.reshape(-1, 1), "%d")
 
 
 def _loadtxt_rows(lines: list[str], dtype, width: int, bound: int | None = None):

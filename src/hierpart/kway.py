@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 import os
 import pickle
 import random
@@ -216,6 +217,8 @@ def initial_bisection(g: Graph, target_fraction: float, start: int) -> Partition
     if nv == 0:
         raise ValueError("cannot bisect an empty graph")
     _check_target_fraction(target_fraction)
+    if not isinstance(start, numbers.Integral):
+        raise ValueError(f"start vertex {start!r} is not an integer")
     if not 0 <= start < nv:
         raise ValueError(f"start vertex {start} is outside [0, {nv})")
     threshold = target_fraction * g.total_vertex_weight

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError
-from .graph import Graph, Partition, _loadtxt_rows, _read_lines, build_graph
+from .graph import Graph, Partition, _loadtxt_rows, _read_lines, _write_rows, build_graph
 
 __all__ = [
     "Mesh",
@@ -81,12 +81,12 @@ def generate_structured_quad(nx: int, ny: int) -> Mesh:
     """
     if nx < 1 or ny < 1:
         raise ValueError("mesh dimensions must be >= 1")
-    xs, ys = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1))
-    coords = np.column_stack([xs.ravel(), ys.ravel()]).astype(np.float64)
-    j, i = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-    base = (j * (nx + 1) + i).ravel()
-    elems = np.column_stack([base, base + 1, base + nx + 2, base + nx + 1])
-    return Mesh(2, elems, coords)
+    coords = np.empty((ny + 1, nx + 1, 2))
+    coords[..., 0] = np.arange(nx + 1)
+    coords[..., 1] = np.arange(ny + 1)[:, None]
+    base = np.arange(ny)[:, None, None] * (nx + 1) + np.arange(nx)[:, None]
+    elems = base + np.array([0, 1, nx + 2, nx + 1])
+    return Mesh(2, elems.reshape(-1, 4), coords.reshape(-1, 2))
 
 
 def generate_structured_hex(nx: int, ny: int, nz: int) -> Mesh:
@@ -94,13 +94,19 @@ def generate_structured_hex(nx: int, ny: int, nz: int) -> Mesh:
     if nx < 1 or ny < 1 or nz < 1:
         raise ValueError("mesh dimensions must be >= 1")
     nxp, nyp = nx + 1, ny + 1
-    zs, ys, xs = np.meshgrid(np.arange(nz + 1), np.arange(ny + 1), np.arange(nx + 1), indexing="ij")
-    coords = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()]).astype(np.float64)
+    coords = np.empty((nz + 1, nyp, nxp, 3))
+    coords[..., 0] = np.arange(nxp)
+    coords[..., 1] = np.arange(nyp)[:, None]
+    coords[..., 2] = np.arange(nz + 1)[:, None, None]
     layer = nxp * nyp
-    k, j, i = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
-    base = (k * layer + j * nxp + i).ravel()
-    bottom = np.column_stack([base, base + 1, base + nxp + 1, base + nxp])
-    return Mesh(3, np.hstack([bottom, bottom + layer]), coords)
+    base = (
+        np.arange(nz)[:, None, None, None] * layer
+        + np.arange(ny)[:, None, None] * nxp
+        + np.arange(nx)[:, None]
+    )
+    bottom = [0, 1, nxp + 1, nxp]
+    elems = base + np.array(bottom + [n + layer for n in bottom])
+    return Mesh(3, elems.reshape(-1, 8), coords.reshape(-1, 3))
 
 
 def _shared_sides(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,11 +185,10 @@ def _pair_nodes(offsets: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:
-    lines = [f"{mesh.dim} {mesh.num_nodes} {mesh.num_elements}"]
-    lines += [" ".join(map(repr, coord)) for coord in mesh.node_coords.tolist()]
-    lines += [" ".join(map(str, nodes)) for nodes in mesh.element_nodes.tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{mesh.dim} {mesh.num_nodes} {mesh.num_elements}\n")
+        _write_rows(fh, mesh.node_coords, "%r")
+        _write_rows(fh, mesh.element_nodes, "%d")
 
 
 # A section numpy's C reader refuses is walked line by line, to convert it or name its bad line.

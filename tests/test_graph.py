@@ -65,6 +65,29 @@ def test_build_graph_admits_totals_up_to_the_bound():
         build_graph([(0, 1, 2**61), (1, 2, 2**61)], 3, vertex_weights)
 
 
+def test_build_graph_refuses_vertex_counts_whose_edge_keys_wrap_int64():
+    with pytest.raises(ValueError, match=r"^num_vertices must be less than 2\*\*31$"):
+        build_graph([], 2**31)
+
+
+@pytest.mark.parametrize("edges", [[(1, 2, 1), (0, 6, 1)], [(0, 6, 1), (1, 2, 1), (2, 1, 1)]])
+def test_build_graph_names_an_out_of_range_edge_whose_key_matches_a_valid_one(edges):
+    # (0, 6) keys as 0 * 4 + 6, the key of (1, 2).
+    with pytest.raises(ValueError, match=r"^edge \(0, 6\) references vertex out of range$"):
+        build_graph(edges, 4)
+
+
+def test_validate_refuses_totals_that_wrap_int64():
+    # int64 sums would give a negative total and a cut of 0 here.
+    g = Graph([0, 1, 3, 4], [1, 0, 2, 1], [2**62] * 4, [2**62] * 3)
+    with pytest.raises(ValueError, match=r"^vertex weights must total less than 2\*\*63$"):
+        g.validate()
+    g = Graph([0, 1, 3, 4], [1, 0, 2, 1], [2**61] * 4, [1] * 3)
+    with pytest.raises(ValueError, match=r"^edge weights must total less than 2\*\*62$"):
+        g.validate()
+    Graph([0, 1, 3, 4], [1, 0, 2, 1], [2**61, 2**61, 2**61 - 1, 2**61 - 1], [1] * 3).validate()
+
+
 def test_validate_catches_asymmetry():
     # 0 lists 1 as a neighbor but not vice versa
     g = Graph(np.array([0, 1, 1]), np.array([1]), np.array([1]), np.array([1, 1]))

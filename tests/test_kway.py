@@ -166,6 +166,11 @@ class TestInitialBisection:
         with pytest.raises(ValueError, match=rf"start vertex {start} is outside \[0, 4\)"):
             initial_bisection(path4, 0.5, start=start)
 
+    @pytest.mark.parametrize("start", [2.9, 2.0])
+    def test_non_integer_start_is_refused(self, path4, start):
+        with pytest.raises(ValueError, match=rf"start vertex {start} is not an integer"):
+            initial_bisection(path4, 0.5, start)
+
 
 class TestFMRefine:
     def test_recovers_optimal_path_cut(self, path4):

@@ -15,6 +15,7 @@ import math
 import os
 import random
 import tempfile
+import tracemalloc
 import warnings
 from collections import deque
 from unittest import mock
@@ -1066,6 +1067,43 @@ class TestWriters:
                 write_graph(graph, paths[1])
                 with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
                     assert a.read() == b.read()
+
+    @pytest.mark.parametrize("extra_blocks,extra_rows", [(0, 0), (0, 1), (2, 5)])
+    def test_writers_match_loop_across_blocks(self, tmp_path, extra_blocks, extra_rows):
+        # Exactly one block, one block and one row, and several blocks.
+        rows = (1 + extra_blocks) * graph_module._BLOCK_ROWS + extra_rows
+        rng = random.Random(rows)
+        dim = 3
+        coords = np.reshape([_random_float(rng) for _ in range(rows * dim)], (rows, dim))
+        elems = (np.arange(rows)[:, None] + np.arange(8)) % rows
+        ids = np.array([rng.randrange(2**62) for _ in range(rows)], dtype=np.int64)
+        edges = {(rng.randrange(v), v) for v in range(1, rows) if rng.random() < 0.8}
+        edges |= {tuple(sorted(rng.sample(range(rows), 2))) for _ in range(rows // 2)}
+        cases = [
+            (_loop_write_mesh, write_mesh, Mesh(dim, elems, coords)),
+            (_loop_write_partition, write_partition, Partition(ids, 2**62)),
+            (_loop_write_ownership, write_ownership, NodeOwnership(ids, [rows])),
+            (_loop_write_graph, write_graph, build_graph([(u, v, 1) for u, v in edges], rows)),
+        ]
+        paths = str(tmp_path / "loop.txt"), str(tmp_path / "new.txt")
+        for loop_writer, writer, value in cases:
+            loop_writer(value, paths[0])
+            writer(value, paths[1])
+            with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+                assert a.read() == b.read()
+
+    def test_write_mesh_memory_does_not_grow_with_the_mesh(self, tmp_path):
+        path = str(tmp_path / "mesh.txt")
+        peaks = []
+        for n in (20, 40):
+            mesh = generate_structured_hex(n, n, n)
+            tracemalloc.start()
+            try:
+                write_mesh(mesh, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 # Tokens an id line may hold besides a plain id: signs, underscores and

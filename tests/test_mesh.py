@@ -94,6 +94,38 @@ def test_hex_elements_match_loop(nx, ny, nz):
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
+def _meshgrid_quad(nx, ny):
+    """generate_structured_quad's arrays, built through meshgrid and column_stack."""
+    xs, ys = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1))
+    coords = np.column_stack([xs.ravel(), ys.ravel()]).astype(np.float64)
+    j, i = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+    base = (j * (nx + 1) + i).ravel()
+    return coords, np.column_stack([base, base + 1, base + nx + 2, base + nx + 1])
+
+
+def _meshgrid_hex(nx, ny, nz):
+    """generate_structured_hex's arrays, built through meshgrid and column_stack."""
+    nxp, nyp = nx + 1, ny + 1
+    zs, ys, xs = np.meshgrid(np.arange(nz + 1), np.arange(nyp), np.arange(nxp), indexing="ij")
+    coords = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()]).astype(np.float64)
+    layer = nxp * nyp
+    k, j, i = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    base = (k * layer + j * nxp + i).ravel()
+    bottom = np.column_stack([base, base + 1, base + nxp + 1, base + nxp])
+    return coords, np.hstack([bottom, bottom + layer])
+
+
+@pytest.mark.parametrize(
+    "dims", [(1, 1), (3, 2), (2, 5), (7, 4), (1, 1, 1), (2, 1, 1), (3, 2, 4), (2, 3, 2), (5, 1, 3)]
+)
+def test_generated_arrays_match_meshgrid_formulas(dims):
+    mesh = generate_structured_quad(*dims) if len(dims) == 2 else generate_structured_hex(*dims)
+    expected = _meshgrid_quad(*dims) if len(dims) == 2 else _meshgrid_hex(*dims)
+    for got, want in zip((mesh.node_coords, mesh.element_nodes), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_mesh_invariants_enforced():
     with pytest.raises(ValueError, match="out of range"):
         Mesh(2, [[0, 1, 2, 9]], [[0, 0], [1, 0], [1, 1]])
