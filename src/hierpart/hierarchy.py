@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .graph import Graph, Partition, extract_subgraph
-from .kway import TargetWeights, _fork_map, _refuse_part_count, partition_kway
+from .graph import Graph, Partition
+from .kway import TargetWeights, _cut_subgraphs, _refuse_part_count, partition_kway
 
 __all__ = [
     "SplitPlan",
@@ -183,8 +183,9 @@ def hierarchical_partition(
     exchanged between simulated ranks so each group holds its own subgraph;
     stage two cuts each subgraph uniformly into that group's part count with a
     per-group seed (``seed ^ group``); the composed result has every final
-    part nonempty. Stage-two groups may run side by side in forked workers
-    (see :func:`hierpart.kway._fork_map`); the result does not depend on it.
+    part nonempty. Stage two cuts every group's subgraph through
+    :func:`hierpart.kway._cut_subgraphs`, which may run groups side by side
+    in forked workers; the result does not depend on it.
     """
     # Refuse a part count past the vertex count before compute_splits sizes
     # arrays by it; with group_size < 1, compute_splits' range error wins.
@@ -203,21 +204,15 @@ def hierarchical_partition(
     layout = trivial_distribute(g.num_vertices, plan.num_groups)
     exchange = discover_exchange(layout, p1)
 
-    # Groups of one part keep p2 = 0. The others are independent, so they run
-    # in lanes of about equal vertex count.
+    # Groups of one part keep p2 = 0; the others are cut side by side.
     groups = np.flatnonzero(plan.group_counts > 1).tolist()
-    members = [exchange.received(group) for group in groups]
 
-    def stage2(i: int) -> np.ndarray:
+    def stage2(subgraph: Graph, i: int) -> np.ndarray:
         parts_here = int(plan.group_counts[groups[i]])
-        subgraph, _ = extract_subgraph(g, members[i])
         return partition_kway(
             subgraph, parts_here, None, seed ^ groups[i], imbalance_tol=imbalance_tol
         ).parts
 
-    p2 = np.zeros(g.num_vertices, dtype=np.int64)
-    sizes = [len(ids) for ids in members]
-    for ids, sub_parts in zip(members, _fork_map(stage2, range(len(groups)), sizes)):
-        p2[ids] = sub_parts
+    p2 = _cut_subgraphs(g, [exchange.received(group) for group in groups], stage2)
     max_group_parts = int(plan.group_counts.max())
     return compose_final(p1, Partition(p2, max_group_parts), plan)

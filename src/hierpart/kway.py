@@ -8,10 +8,10 @@ one exact gain-heap engine, whose select-and-move step is the only move loop.
 k-way output comes from recursive bisection over a split of the target-weight
 vector.
 
-Everything here is deterministic for a fixed seed. Independent branches (the
-two halves of a bisection, and the callers' per-group and per-pair loops) may
-run side by side in forked workers, but no branch's seed or input depends on
-that schedule, so outputs do not either.
+Everything here is deterministic for a fixed seed. Independent subgraph cuts
+(the two halves of a bisection, and the callers' stage-two groups and
+interface pairs) may run side by side in forked workers, but no cut's seed or
+input depends on that schedule, so outputs do not either.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ _spare_cpus = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 ) - 1
 
-# Lane weight (vertices or interface nodes) below which _fork_map runs inline:
+# Lane weight (subgraph vertices) below which _fork_map runs inline:
 # a fork/pipe/reap costs about 5 ms on a 2-vCPU host, and 4-part cuts with
 # lanes of up to 200 vertices ran faster inline than forked.
 _MIN_FORK_WEIGHT = 128
@@ -465,10 +465,12 @@ def _rebalance(
     one wins (tie: lower id). Used after projecting a coarse bisection to a
     finer level, where weight granularity can leave the window overshot.
     """
-    heaps = _GainHeaps(g)
-    heaps.load(parts)
     target = target_fraction * g.total_vertex_weight
     w0 = int(g.vertex_weights[parts == 0].sum())
+    if int(g.vertex_weights.min()) >= 2 * abs(w0 - target):
+        return parts  # no vertex is light enough to shrink the deviation
+    heaps = _GainHeaps(g)
+    heaps.load(parts)
     while True:
         dev = abs(w0 - target)
         heavy = 0 if w0 > target else 1
@@ -622,22 +624,36 @@ def _recurse(
     min_counts = (int(mins[:mid].sum()), int(mins[mid:].sum()))
     sides = _multilevel_bisect(g, _left_fraction(fractions), tol, seed, min_counts)
     # A one-part half is labelled as it stands (0 left, mid right); only the
-    # halves that split again are extracted, side by side when both do.
-    parts = sides * mid
-    halves = [
-        (side, np.flatnonzero(sides == side), span)
-        for side, span in ((0, slice(None, mid)), (1, slice(mid, None)))
-        if len(fractions[span]) > 1
-    ]
+    # halves that split again are cut, side by side when both do.
+    spans = (slice(None, mid), slice(mid, None))
+    halves = [side for side in (0, 1) if len(fractions[spans[side]]) > 1]
 
-    def half(item: tuple[int, np.ndarray, slice]) -> np.ndarray:
-        side, ids, span = item
-        sub, _ = extract_subgraph(g, ids)
-        return _recurse(sub, fractions[span], mins[span], derive_seed(seed, 3 + side), tol)
+    def half(sub: Graph, i: int) -> np.ndarray:
+        span = spans[halves[i]]
+        return _recurse(sub, fractions[span], mins[span], derive_seed(seed, 3 + halves[i]), tol)
 
-    for (_, ids, _), sub_parts in zip(halves, _fork_map(half, halves, [len(h[1]) for h in halves])):
-        parts[ids] += sub_parts
-    return parts
+    groups = [np.flatnonzero(sides == side) for side in halves]
+    return sides * mid + _cut_subgraphs(g, groups, half)
+
+
+def _cut_subgraphs(
+    g: Graph, groups: Sequence[np.ndarray], cut: Callable[[Graph, int], np.ndarray]
+) -> np.ndarray:
+    """``cut(subgraph_i, i)`` at the vertices of each ``groups[i]``; 0 elsewhere.
+
+    ``subgraph_i = extract_subgraph(g, groups[i])`` is built in the lane that
+    cuts it, so its local ids follow ``groups[i]``. Groups must not overlap;
+    they run in :func:`_fork_map` lanes of about equal vertex count.
+    """
+
+    def lane(i: int) -> np.ndarray:
+        return cut(extract_subgraph(g, groups[i])[0], i)
+
+    values = np.zeros(g.num_vertices, dtype=np.int64)
+    sizes = [len(ids) for ids in groups]
+    for ids, sub_values in zip(groups, _fork_map(lane, range(len(groups)), sizes)):
+        values[ids] = sub_values
+    return values
 
 
 def _fork_map(fn: Callable[[_T], _U], items: Sequence[_T], weights: Sequence[int]) -> list[_U]:

@@ -59,10 +59,11 @@ class Mesh:
         if self.element_nodes.size:
             if self.element_nodes.min() < 0 or self.element_nodes.max() >= self.num_nodes:
                 raise ValueError("element references node id out of range")
-            rows = np.sort(self.element_nodes, axis=1)
-            repeats = np.flatnonzero(np.any(rows[:, 1:] == rows[:, :-1], axis=1))
-            if len(repeats):
-                raise ValueError(f"element {repeats[0]} repeats a node id")
+            repeats = np.zeros(self.num_elements, dtype=bool)
+            for i, j in zip(*np.triu_indices(expect, 1)):  # two boolean columns, no copy
+                repeats |= self.element_nodes[:, i] == self.element_nodes[:, j]
+            if repeats.any():
+                raise ValueError(f"element {int(np.argmax(repeats))} repeats a node id")
 
     @property
     def num_nodes(self) -> int:

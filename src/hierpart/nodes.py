@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Partition, _read_ids, _write_ids, build_graph
-from .kway import _fork_map, derive_seed, partition_kway
+from .graph import Graph, Partition, _read_ids, _write_ids, build_graph
+from .kway import _cut_subgraphs, derive_seed, partition_kway
 from .mesh import Mesh, _node_parts, _pair_nodes, _shared_sides
 
 __all__ = [
@@ -101,26 +101,6 @@ def assign_parity(mesh: Mesh, elem_partition: Partition) -> NodeOwnership:
     return NodeOwnership.from_owner(owner, elem_partition.num_parts)
 
 
-def _interface_edges(mesh: Mesh, elem_partition: Partition) -> np.ndarray:
-    """Node pairs co-occurring on an element side shared across a rank pair.
-
-    Rows ``(a, b, n1, n2)`` with ranks a < b and nodes n1 < n2, unique and
-    sorted.
-    """
-    elem_a, elem_b, side_nodes = _shared_sides(mesh)
-    pa, pb = elem_partition.parts[elem_a], elem_partition.parts[elem_b]
-    cross = pa != pb
-    first, second = np.triu_indices(side_nodes.shape[1], 1)  # node pairs of one side
-    per_side = len(first)
-    rows = np.column_stack([
-        np.repeat(np.minimum(pa, pb)[cross], per_side),
-        np.repeat(np.maximum(pa, pb)[cross], per_side),
-        side_nodes[cross][:, first].ravel(),
-        side_nodes[cross][:, second].ravel(),
-    ])
-    return np.unique(rows, axis=0)
-
-
 def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int) -> NodeOwnership:
     """Bisect each pairwise interface graph so both ranks own about half.
 
@@ -132,39 +112,32 @@ def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int)
     """
     owner, (offsets, parts) = _interior_owner(mesh, elem_partition)
     a, b, nodes = _pair_nodes(offsets, parts)
-    edges = _interface_edges(mesh, elem_partition)
+    # Vertex i of one interface graph is nodes[i]. A side shared across ranks a and b
+    # puts its nodes on both, so those on no third rank are members of pair (a, b).
+    elem_a, elem_b, side_nodes = _shared_sides(mesh)
+    side_nodes = side_nodes[elem_partition.parts[elem_a] != elem_partition.parts[elem_b]]
+    del elem_a, elem_b  # they span every shared side: free them before the cuts
+    n = len(nodes)
+    vertex = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    vertex[nodes] = np.arange(n)
+    ends = vertex[side_nodes]  # members ascend along a row, as node ids do: u < v
+    first, second = np.triu_indices(ends.shape[1], 1)  # node pairs of one side
+    u, v = ends[:, first].ravel(), ends[:, second].ravel()
+    # A node pair may lie on several sides; the key u * n + v keeps it once.
+    keys = np.unique((u * n + v)[(u >= 0) & (v >= 0)])
+    interface = build_graph(np.column_stack([*np.divmod(keys, n), np.ones_like(keys)]), n)
     num_ranks = elem_partition.num_parts
-    edge_pairs = edges[:, 0] * num_ranks + edges[:, 1]
-    node_pairs = a * num_ranks + b
-    starts = np.flatnonzero(np.diff(node_pairs, prepend=-1))
-    ends = np.append(starts[1:], len(nodes))
-    lone = starts[ends - starts == 1]
-    owner[nodes[lone]] = a[lone]  # a single-node interface goes to the lower rank
-    pairs = [(lo, hi) for lo, hi in zip(starts.tolist(), ends.tolist()) if hi - lo > 1]
+    starts = np.flatnonzero(np.diff(a * num_ranks + b, prepend=-1))
+    groups = [ids for ids in np.split(np.arange(n), starts[1:]) if len(ids) > 1]
 
-    def bisect(pair: tuple[int, int]) -> np.ndarray:
-        """Owning rank of each of the pair's members."""
-        lo, hi = pair
-        low, high = int(a[lo]), int(b[lo])
-        members = nodes[lo:hi]  # ascending
-        # Keep the pair's edges whose ends are both members; nodes touching
-        # three or more ranks sit outside every pair.
-        span = slice(*np.searchsorted(edge_pairs, [node_pairs[lo], node_pairs[lo] + 1]))
-        ends = np.searchsorted(members, edges[span, 2:])
-        inside = np.all(members[np.minimum(ends, len(members) - 1)] == edges[span, 2:], axis=1)
-        local = ends[inside]
-        halves = partition_kway(
-            build_graph(np.column_stack([local, np.ones(len(local), dtype=np.int64)]), len(members)),
-            2,
-            None,
-            derive_seed(seed, low, high),
-        )
-        low_half = halves.parts[0]  # members[0] is the smallest node id
-        return np.where(halves.parts == low_half, low, high)
+    # The half holding a pair's first member, its smallest node id, goes to the
+    # lower rank, and so does a single-node interface, which is in no group.
+    def bisect(pair_graph: Graph, i: int) -> np.ndarray:
+        lo = groups[i][0]
+        halves = partition_kway(pair_graph, 2, None, derive_seed(seed, int(a[lo]), int(b[lo])))
+        return halves.parts != halves.parts[0]
 
-    # The other pairs are independent, so they run in lanes of about equal node count.
-    for (lo, hi), pair_owner in zip(pairs, _fork_map(bisect, pairs, [hi - lo for lo, hi in pairs])):
-        owner[nodes[lo:hi]] = pair_owner
+    owner[nodes] = np.where(_cut_subgraphs(interface, groups, bisect), b, a)
     _assign_multi_rank_greedy(owner, offsets, parts, num_ranks)
     return NodeOwnership.from_owner(owner, num_ranks)
 

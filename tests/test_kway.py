@@ -487,6 +487,24 @@ class TestGainHeapEngine:
             _repair_counts(big, p.parts.copy(), mins), _repair_counts(small, p.parts.copy(), mins)
         )
 
+    @pytest.mark.parametrize(
+        "side0, engines",
+        [([3, 5], 0), ([0, 5], 0), ([1, 2, 3, 4], 0), ([0, 1, 5], 1), ([2, 3, 4], 1)],
+        ids=["w0=21", "w0=19", "w0=23", "w0=24", "w0=18"],
+    )
+    def test_rebalance_builds_no_engine_when_nothing_can_move(self, monkeypatch, side0, engines):
+        """Vertex weights 4, 5, 5, 6, 7, 15 against a target of 21: part 0 at
+        21, 19 or 23 lies within half the lightest vertex of it, so no move can
+        shrink the deviation and no engine is built; at 24 or 18 one is."""
+        g = build_graph([(v, v + 1, 1) for v in range(5)], 6, [4, 5, 5, 6, 7, 15])
+        parts = np.ones(6, dtype=np.int64)
+        parts[side0] = 0
+        built = []
+        monkeypatch.setattr(kway, "_GainHeaps", lambda g: built.append(g) or _GainHeaps(g))
+        expected = _scan_rebalance(g, parts.copy(), 0.5)
+        assert _rebalance(g, parts.copy(), 0.5).tobytes() == expected.tobytes()
+        assert len(built) == engines
+
     def test_step_on_empty_candidates_moves_nothing(self, path4):
         heaps = _GainHeaps(path4)
         heaps.load(np.array([0, 0, 1, 1]))

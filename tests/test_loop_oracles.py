@@ -49,12 +49,13 @@ from hierpart import (
     write_partition,
 )
 from hierpart import graph as graph_module
+from hierpart import kway as kway_module
 from hierpart import mesh as mesh_module
+from hierpart import nodes as nodes_module
 from hierpart.cli import main
 from hierpart.mesh import _QUAD_SIDES, _HEX_SIDES, _node_parts, _pair_nodes
 from hierpart.nodes import (
     NodeOwnership,
-    _interface_edges,
     assign_interface_partition,
     assign_lowest_rank,
     assign_parity,
@@ -806,13 +807,6 @@ class TestMeshLayer:
                 (low, high, n) for (low, high), nodes in expected_pairs.items() for n in nodes
             )
             assert np.flatnonzero(np.diff(offsets) > 2).tolist() == expected_multi
-        rows = _interface_edges(mesh, part)
-        expected_rows = sorted(
-            (a, b, n1, n2)
-            for (a, b), bucket in _loop_interface_edges(mesh, part).items()
-            for n1, n2 in bucket
-        )
-        assert [tuple(r) for r in rows.tolist()] == expected_rows
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=100, deadline=None)
@@ -836,6 +830,45 @@ class TestMeshLayer:
             else:
                 assert got.owner.tobytes() == expected.owner.tobytes()
                 assert got.counts.tobytes() == expected.counts.tobytes()
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_interface_pair_graphs_match_loop(self, seed):
+        """Each graph a rank pair hands to the partitioner, with its seed, is
+        the pair's graph built by the loop from the node pairs of its sides."""
+        rng = random.Random(seed)
+        mesh = _random_mesh(rng)
+        part = _random_partition(rng, mesh)
+        if _first_unused_node(mesh) is not None:
+            return  # refused before any pair is cut (test_node_strategies_match_loop)
+        pair_sets, _ = _loop_interface_node_sets(mesh, part)
+        all_edges = _loop_interface_edges(mesh, part)
+        expected = []
+        for (a, b), members in sorted(pair_sets.items()):
+            local = {n: i for i, n in enumerate(sorted(members))}
+            if len(local) < 2:
+                continue  # a single-node interface is not cut
+            edges = [
+                (local[n1], local[n2], 1)
+                for n1, n2 in all_edges.get((a, b), ())
+                if n1 in local and n2 in local
+            ]
+            expected.append(
+                (_graph_bytes(_loop_build_graph(edges, len(local))), derive_seed(seed, a, b))
+            )
+        handed = []
+
+        def recording(g, k, w, s, **kwargs):
+            handed.append((_graph_bytes(g), s))
+            return partition_kway(g, k, w, s, **kwargs)
+
+        # Inline, so that every pair's call reaches this process's recorder.
+        with (
+            mock.patch.object(nodes_module, "partition_kway", recording),
+            mock.patch.object(kway_module, "_spare_cpus", 0),
+        ):
+            assign_interface_partition(mesh, part, seed)
+        assert handed == expected
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=100, deadline=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,34 @@ def test_mesh_invariants_enforced():
         Mesh(2, [[0, 1, 2, 2]], [[0, 0], [1, 0], [1, 1], [0, 1]])
     with pytest.raises(ValueError):
         Mesh(4, [[0, 1, 2, 3]], [[0, 0], [1, 0], [1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_repeat_in_any_pair_of_columns_names_the_first_such_element(dim):
+    """Each pair of columns in turn holds the repeat, in elements 2 and 4 of a
+    valid block; the message names element 2."""
+    width = 4 if dim == 2 else 8
+    coords = np.zeros((6 * width, dim))
+    for i in range(width):
+        for j in range(i + 1, width):
+            elems = np.arange(6 * width).reshape(6, width)
+            elems[2, j] = elems[2, i]
+            elems[4, i] = elems[4, j]
+            with pytest.raises(ValueError, match=r"^element 2 repeats a node id$"):
+                Mesh(dim, elems, coords)
+
+
+def test_repeat_check_holds_no_copy_of_the_elements():
+    """On hex 40³ (4 MB of element ids) the check peaks at a tenth of that."""
+    base = generate_structured_hex(40, 40, 40)
+    elems, coords = base.element_nodes, base.node_coords
+    tracemalloc.start()
+    try:
+        Mesh(3, elems, coords)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * elems.nbytes
 
 
 class TestDualGraph:

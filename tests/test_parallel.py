@@ -18,6 +18,7 @@ from hierpart import (
     Partition,
     TargetWeights,
     assign_interface_partition,
+    build_graph,
     dual_graph,
     generate_structured_hex,
     generate_structured_quad,
@@ -218,6 +219,48 @@ def test_no_fork_while_other_python_threads_run(monkeypatch):
         stop.set()
         other.join(timeout=10)
     assert not other.is_alive()
+
+
+def test_cut_subgraphs_scatters_by_group_order_and_zeros_the_rest(monkeypatch):
+    """On the path 0-1-...-9 with vertex weights 1-10, each cut sees the
+    induced subgraph in its group's order: local vertex j is groups[i][j],
+    with that vertex's weight and its neighbours inside the group."""
+    monkeypatch.setattr(kway, "_spare_cpus", 0)
+    g = build_graph([(v, v + 1, 1) for v in range(9)], 10, range(1, 11))
+    groups = [np.array([6, 2, 5, 7]), np.array([9, 8])]
+    seen = []
+
+    def cut(sub, i):
+        seen.append((i, sub.vertex_weights.tolist()))
+        return sub.vertex_weights * 100 + np.diff(sub.adjacency_offsets) * 10 + i
+
+    values = kway._cut_subgraphs(g, groups, cut)
+    assert seen == [(0, [7, 3, 6, 8]), (1, [10, 9])]
+    # weight * 100 + degree inside the group * 10 + group index; vertices 0, 1, 3, 4 in none
+    assert values.tolist() == [0, 0, 300, 0, 0, 610, 720, 810, 911, 1011]
+    assert kway._cut_subgraphs(g, [], cut).tolist() == [0] * 10
+
+
+def test_cut_subgraphs_is_the_same_inline_and_forked(monkeypatch):
+    """Five groups of quad 32² (one left out), each in a shuffled order and cut
+    into three parts: the same values with no spare CPU and with three."""
+    g = dual_graph(generate_structured_quad(32, 32))
+    order = np.random.default_rng(4).permutation(g.num_vertices)
+    groups = np.array_split(order, 6)[:5]
+
+    def cut(sub, i):
+        return partition_kway(sub, 3, None, seed=i).parts
+
+    monkeypatch.setattr(kway, "_spare_cpus", 0)
+    inline = kway._cut_subgraphs(g, groups, cut)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(kway, "_spare_cpus", 3)
+    assert kway._cut_subgraphs(g, groups, cut).tobytes() == inline.tobytes()
+    assert forks
+    assert not inline[np.array_split(order, 6)[5]].any()
+    _no_child_left()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 7, 16])
