@@ -9,9 +9,11 @@ cut and gain (up to twice the edge weights) fits in int64.
 
 from __future__ import annotations
 
+import io
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -192,14 +194,19 @@ def build_graph(
     if _exact_sum(w) >= 2**62:
         raise ValueError("edge weights must total less than 2**62")
 
-    # Each edge is stored from both ends; sorting by (source, neighbor) makes
-    # every adjacency run ascending, so traversal order is canonical.
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.argsort(src * num_vertices + dst, kind="stable")
+    # Each edge is stored from both ends; sorting by the key source * n + neighbor
+    # makes every adjacency run ascending, so traversal order is canonical. The
+    # keys are unique, since repeats were refused, and the sorted ones give the
+    # neighbors; entry i of the order is edge i % m, so it picks the weights.
+    keys = np.concatenate([u * num_vertices + v, v * num_vertices + u])
+    order = np.argsort(keys, kind="stable")
+    neighbors = keys[order]
+    del keys
+    neighbors %= num_vertices
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
-    return Graph(offsets, dst[order], np.concatenate([w, w])[order], vwgt)
+    degrees = np.bincount(u, minlength=num_vertices) + np.bincount(v, minlength=num_vertices)
+    np.cumsum(degrees, out=offsets[1:])
+    return Graph(offsets, neighbors, w.take(order, mode="wrap"), vwgt)
 
 
 def _exact_sum(values: np.ndarray) -> int:
@@ -436,42 +443,108 @@ def _loadtxt_rows(lines: list[str], dtype, width: int, bound: int | None = None)
     return values if values.shape == (len(lines), width) and in_range else None
 
 
+def _open_rereadable(path: str):
+    """``path`` opened as text that can be read more than once: a pipe or
+    another stream that cannot seek is read into memory whole."""
+    fh = open(path)
+    if fh.seekable():
+        return fh
+    with fh:
+        return io.StringIO(fh.read())
+
+
+def _count_lines(fh) -> int:
+    """The number of lines in text file ``fh``, counted as :func:`_read_lines`
+    splits them; ``fh`` is read in bounded chunks and left at its start.
+
+    The whole file is decoded here, before any line is parsed; a decode error
+    is raised as one read of the whole file raises it, at its byte position in
+    the file.
+    """
+    count, last = 0, "\n"
+    try:
+        while chunk := fh.read(64 * _BLOCK_ROWS):  # about 64 characters a line
+            count += chunk.count("\n")
+            last = chunk[-1]
+    except UnicodeDecodeError:
+        fh.seek(0)
+        fh.read()  # raises the error again, positioned in the whole file
+        raise
+    fh.seek(0)
+    return count + (last != "\n")
+
+
+def _line_blocks(lines: Iterable[str], count: int) -> Iterator[list[str]]:
+    """The next ``count`` items of ``lines`` (a file's lines, or a list), in lists of
+    at most ``_BLOCK_ROWS``."""
+    lines = iter(lines)
+    for first in range(0, count, _BLOCK_ROWS):
+        yield list(itertools.islice(lines, min(_BLOCK_ROWS, count - first)))
+
+
 def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
     """The ids of a one-id-per-line file, blank lines skipped.
 
     Lines are split as iterating over the file splits them, and each line is
     stripped before ``int`` converts it. An id lies from 0 up to the number
     of ids in the file, inclusive, so that arrays sized by the largest id
-    stay proportional to the file. Only a file :func:`_loadtxt_rows` refuses is
-    walked line by line, to convert its ids with ``int`` or name its first bad
-    line. ``kind`` names the file and ``what`` its ids in error messages.
+    stay proportional to the file. ``kind`` names the file and ``what`` its
+    ids in error messages.
+
+    The file is read a block of ``_BLOCK_ROWS`` lines at a time, after a
+    first pass that counts its lines, so memory holds one block plus the ids
+    returned. Each block goes through :func:`_loadtxt_rows`. A file in which
+    it refuses a block (a blank line makes it refuse one) is read again: its
+    ids are counted, and only the blocks it refuses then are walked line by
+    line, to convert their ids with ``int`` or name the first bad line.
     """
-    lines = _read_lines(path)
-    tokens = [token for token in map(str.strip, lines) if token]
-    rows = _loadtxt_rows(tokens, np.int64, 1, len(tokens) + 1)
-    if rows is None:
-        rows = []
-        for lineno, line in enumerate(lines, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                value = int(token)
-            except ValueError:
-                raise FileFormatError(path, lineno, f"bad {what} id {token!r}") from None
-            if value < 0:
-                raise FileFormatError(path, lineno, f"negative {what} id {value}")
-            if value >= 2**63:
-                raise FileFormatError(path, lineno, f"{what} id {value} does not fit in 64 bits")
-            if value > len(tokens):
-                raise FileFormatError(
-                    path, lineno, f"{what} id {value} exceeds the file's id count {len(tokens)}"
-                )
-            rows.append(value)
-    ids = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if not len(ids):
-        raise FileFormatError(path, 1, f"empty {kind} file")
+    with _open_rereadable(path) as fh:
+        num_lines = _count_lines(fh)
+        ids = np.empty(num_lines, dtype=np.int64)
+        filled = 0
+        for block in _line_blocks(fh, num_lines):  # while every line holds one id
+            rows = _loadtxt_rows(block, np.int64, 1, num_lines + 1)
+            if rows is None:
+                break
+            ids[filled:filled + len(block)] = rows.reshape(-1)
+            filled += len(block)
+        if filled == num_lines > 0:
+            return ids
+        fh.seek(0)
+        blank = sum(sum(map(str.isspace, block)) for block in _line_blocks(fh, num_lines))
+        count = num_lines - blank
+        if not count:
+            raise FileFormatError(path, 1, f"empty {kind} file")
+        fh.seek(0)
+        ids = np.empty(count, dtype=np.int64)
+        lineno = filled = 0
+        for block in _line_blocks(fh, num_lines):
+            tokens = [token for token in map(str.strip, block) if token]
+            rows = _loadtxt_rows(tokens, np.int64, 1, count + 1)
+            if rows is None:
+                numbered = enumerate(map(str.strip, block), start=lineno + 1)
+                rows = [_id_value(path, i, token, count, what) for i, token in numbered if token]
+            ids[filled:filled + len(tokens)] = np.reshape(rows, -1)
+            lineno += len(block)
+            filled += len(tokens)
     return ids
+
+
+def _id_value(path: str, lineno: int, token: str, count: int, what: str) -> int:
+    """The id on line ``lineno``, converted by ``int``, or the error that names it."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise FileFormatError(path, lineno, f"bad {what} id {token!r}") from None
+    if value < 0:
+        raise FileFormatError(path, lineno, f"negative {what} id {value}")
+    if value >= 2**63:
+        raise FileFormatError(path, lineno, f"{what} id {value} does not fit in 64 bits")
+    if value > count:
+        raise FileFormatError(
+            path, lineno, f"{what} id {value} exceeds the file's id count {count}"
+        )
+    return value
 
 
 def read_partition(path: str) -> Partition:

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
 from .errors import FileFormatError
-from .graph import Graph, Partition, _loadtxt_rows, _read_lines, _write_rows, build_graph
+from .graph import Graph, Partition, _loadtxt_rows, _write_rows, build_graph
 
 __all__ = [
     "Mesh",
@@ -32,6 +33,8 @@ _HEX_SIDES = (
     (2, 3, 7, 6),
     (3, 0, 4, 7),
 )
+# Compare-exchange pairs that sort 2 and 4 values.
+_SORTING_NETWORKS = {2: ((0, 1),), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
 
 
 @dataclass(eq=False)
@@ -110,38 +113,105 @@ def generate_structured_hex(nx: int, ny: int, nz: int) -> Mesh:
     return Mesh(3, elems.reshape(-1, 8), coords.reshape(-1, 3))
 
 
-def _shared_sides(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Element pairs that share a full side: ``(elem_a, elem_b, side_nodes)``.
+def _local_sides(mesh: Mesh) -> np.ndarray:
+    """Local node indices of the sides of one of ``mesh``'s elements, one row per side."""
+    return np.asarray(_QUAD_SIDES if mesh.dim == 2 else _HEX_SIDES)
 
-    A side is an element edge in 2D (2 nodes) or a face in 3D (4 nodes); sides
-    match when their sorted node ids do. Sides are taken in element order,
-    then in canonical local order, and equal ones pair up as they come: 1st
-    with 2nd, 3rd with 4th, and an odd one out stays unmatched. Pairs are
-    listed in the order of their second side, first side's element first;
-    ``side_nodes`` holds each pair's sorted node ids, one row per pair.
+
+def _shared_sides(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of element sides that match: ``(side_a, side_b)``.
+
+    A side is an element edge in 2D (2 nodes) or a face in 3D (4 nodes), and
+    side ``s`` is local side ``s % m`` of element ``s // m``, where ``m`` is
+    the number of sides per element. Sides match when their sorted node ids
+    do. Sides are taken in element order, then in canonical local order, and
+    equal ones pair up as they come: 1st with 2nd, 3rd with 4th, and an odd
+    one out stays unmatched. Pairs are listed in the order of their second
+    side, so ``side_b`` ascends and ``side_a < side_b``.
+
+    Sides are matched on packed int64 keys, built a block of elements at a
+    time: a quad side with sorted node ids ``lo, hi`` has the one key
+    ``lo * num_nodes + hi``, and a hex face has two, one per half of its four
+    sorted ids. Memory holds the keys and their sort order, 16 or 24 bytes a side.
     """
-    local = np.asarray(_QUAD_SIDES if mesh.dim == 2 else _HEX_SIDES)
+    nn = mesh.num_nodes
+    # The largest key is (nn - 2) * nn + nn - 1, which fits int64 while nn**2 <= 2**63.
+    if nn * nn > 2**63:
+        raise ValueError(f"cannot match the sides of a mesh with {nn} nodes on int64 keys")
+    local = _local_sides(mesh)
     per_elem, side_len = local.shape
-    sides = np.sort(mesh.element_nodes[:, local].reshape(-1, side_len), axis=1)
-    order = np.lexsort(sides.T[::-1])  # stable: equal sides stay in occurrence order
-    keyed = sides[order]
-    n = len(order)
-    run_start = np.ones(n, dtype=bool)
-    run_start[1:] = np.any(keyed[1:] != keyed[:-1], axis=1)
-    rank = np.arange(n) - np.maximum.accumulate(np.where(run_start, np.arange(n), 0))
-    first = np.flatnonzero((rank[:-1] % 2 == 0) & ~run_start[1:])
-    by_second = np.argsort(order[first + 1])
-    first = first[by_second]
-    return order[first] // per_elem, order[first + 1] // per_elem, keyed[first]
+    keys = [np.empty(mesh.num_elements * per_elem, dtype=np.int64) for _ in range(side_len // 2)]
+    step = graph._BLOCK_ROWS
+    for start in range(0, mesh.num_elements, step):
+        ids = _sorted_columns(mesh.element_nodes[start:start + step][:, local])
+        rows = slice(start * per_elem, start * per_elem + ids[0].size)
+        for k, key in enumerate(keys):
+            key[rows] = (ids[2 * k] * nn + ids[2 * k + 1]).ravel()
+    order = np.lexsort(keys[::-1])  # stable: equal sides stay in occurrence order
+    # same[i]: the i-th side in sorted order equals the next one. Compared a
+    # block at a time, so no sorted copy of the keys is made.
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for start in range(0, len(same), step):
+        at = order[start:start + step + 1]
+        for key in keys:
+            same[start:start + step] &= key[at[1:]] == key[at[:-1]]
+    del keys
+    first = _pair_starts(np.flatnonzero(same))
+    del same
+    second = order[first + 1]
+    by_second = np.argsort(second)
+    return order[first[by_second]], second[by_second]
+
+
+def _sorted_columns(ids: np.ndarray) -> list[np.ndarray]:
+    """The last axis of ``ids`` (2 or 4 long) as a list of arrays, sorted along it."""
+    col = [ids[..., i] for i in range(ids.shape[-1])]
+    for i, j in _SORTING_NETWORKS[len(col)]:
+        col[i], col[j] = np.minimum(col[i], col[j]), np.maximum(col[i], col[j])
+    return col
+
+
+def _pair_starts(follows: np.ndarray) -> np.ndarray:
+    """The sorted positions that start a pair, given those equal to the next one.
+
+    A run of k equal sides puts its first k - 1 positions in ``follows``, back
+    to back; pairs start at the 1st, 3rd, ... of them.
+    """
+    chain = np.arange(len(follows))
+    starts = np.ones(len(follows), dtype=bool)
+    starts[1:] = follows[1:] != follows[:-1] + 1
+    head = np.where(starts, chain, 0)
+    np.maximum.accumulate(head, out=head)
+    chain -= head
+    return follows[chain % 2 == 0]
+
+
+def _side_nodes(mesh: Mesh, sides: np.ndarray) -> np.ndarray:
+    """The sorted node ids of ``sides`` (numbered as by :func:`_shared_sides`), one row each."""
+    local = _local_sides(mesh)
+    elems, which = np.divmod(sides, len(local))
+    return np.column_stack(_sorted_columns(mesh.element_nodes[elems[:, None], local[which]]))
 
 
 def dual_graph(mesh: Mesh) -> Graph:
     """Element adjacency graph: an edge wherever two elements share a full side.
 
-    Sides are matched as in :func:`_shared_sides`. All weights are 1.
+    Sides are matched as in :func:`_shared_sides`. Two elements that share
+    several sides (a folded mesh) get one edge. All weights are 1.
     """
-    elem_a, elem_b, _ = _shared_sides(mesh)
-    edges = np.column_stack([elem_a, elem_b, np.ones_like(elem_a)])
+    side_a, side_b = _shared_sides(mesh)
+    per_elem = len(_local_sides(mesh))
+    elem_a, elem_b = side_a // per_elem, side_b // per_elem
+    del side_a, side_b
+    # side_b ascends, so the pairs of one second element are at most per_elem apart.
+    repeat = np.zeros(len(elem_a), dtype=bool)
+    for k in range(1, per_elem):
+        repeat[k:] |= (elem_b[k:] == elem_b[:-k]) & (elem_a[k:] == elem_a[:-k])
+    if repeat.any():
+        elem_a, elem_b = elem_a[~repeat], elem_b[~repeat]
+    # Column-major (m, 3), so build_graph takes its columns as views.
+    edges = np.array([elem_a, elem_b, np.ones_like(elem_a)]).T
+    del elem_a, elem_b
     return build_graph(edges, mesh.num_elements)
 
 
@@ -192,61 +262,75 @@ def write_mesh(mesh: Mesh, path: str) -> None:
         _write_rows(fh, mesh.element_nodes, "%d")
 
 
-# A section numpy's C reader refuses is walked line by line, to convert it or name its bad line.
+# A block numpy's C reader refuses is walked line by line, to convert it or name its bad line.
 
 
 def _parse_rows(
-    path: str, raw: list[str], first: int, out: np.ndarray, convert, what: str, bad: str,
+    path: str, lines, first: int, out: np.ndarray, convert, what: str, bad: str,
     bound: int | None = None,
 ) -> None:
-    """Fill the rows of ``out`` from lines ``raw[first:first + len(out)]``.
+    """Fill the rows of ``out`` from the next ``len(out)`` of ``lines``.
 
-    Each line must hold ``out.shape[1]`` tokens (else "expected {width} {what}")
-    that ``convert`` accepts (else ``bad``) and, when ``bound`` is given, that
-    lie in ``[0, bound)``.
+    ``lines`` iterates over a file (or a list of its lines) after its first
+    ``first`` lines, and is read a block of ``_BLOCK_ROWS`` lines at a time.
+    Each line must hold ``out.shape[1]`` tokens (else "expected {width}
+    {what}") that ``convert`` accepts (else ``bad``) and, when ``bound`` is
+    given, that lie in ``[0, bound)``.
     """
     width = out.shape[1]
-    lines = raw[first:first + len(out)]
-    values = _loadtxt_rows(lines, out.dtype, width, bound)
-    if values is not None:
-        out[:] = values
-        return
-    for i, line in enumerate(lines):
-        lineno = first + i + 1
-        tokens = line.split()
-        if len(tokens) != width:
-            raise FileFormatError(path, lineno, f"expected {width} {what}")
-        try:
-            values = [convert(t) for t in tokens]
-        except ValueError:
-            raise FileFormatError(path, lineno, bad) from None
-        if bound is not None and any(not (0 <= v < bound) for v in values):
-            raise FileFormatError(path, lineno, "node id out of range")
-        out[i] = values
+    start = 0
+    for block in graph._line_blocks(lines, len(out)):
+        rows = out[start:start + len(block)]
+        values = _loadtxt_rows(block, out.dtype, width, bound)
+        if values is not None:
+            rows[:] = values
+        else:
+            for i, line in enumerate(block):
+                lineno = first + start + i + 1
+                tokens = line.split()
+                if len(tokens) != width:
+                    raise FileFormatError(path, lineno, f"expected {width} {what}")
+                try:
+                    values = [convert(t) for t in tokens]
+                except ValueError:
+                    raise FileFormatError(path, lineno, bad) from None
+                if bound is not None and any(not (0 <= v < bound) for v in values):
+                    raise FileFormatError(path, lineno, "node id out of range")
+                rows[i] = values
+        start += len(block)
 
 
 def read_mesh(path: str) -> Mesh:
-    raw = _read_lines(path)
-    if not raw:
-        raise FileFormatError(path, 1, "empty mesh file")
-    head = raw[0].split()
-    if len(head) != 3:
-        raise FileFormatError(path, 1, "expected 'dim num_nodes num_elements'")
-    try:
-        dim, nn, ne = (int(t) for t in head)
-    except ValueError:
-        raise FileFormatError(path, 1, "expected 'dim num_nodes num_elements'") from None
-    if dim not in (2, 3):
-        raise FileFormatError(path, 1, f"dim must be 2 or 3, got {dim}")
-    if nn < 0 or ne < 0:
-        raise FileFormatError(path, 1, f"counts must be >= 0, got {nn} nodes and {ne} elements")
-    if len(raw) < 1 + nn + ne:
-        raise FileFormatError(path, len(raw), f"expected {nn} coordinate and {ne} element lines")
+    """Read a mesh file (format above), a block of lines at a time.
 
-    coords = np.empty((nn, dim), dtype=np.float64)
-    _parse_rows(path, raw, 1, coords, float, "coordinates", "bad coordinate value")
-    elems = np.empty((ne, 4 if dim == 2 else 8), dtype=np.int64)
-    _parse_rows(path, raw, 1 + nn, elems, int, "node ids", "bad node id", nn)
+    A first pass counts the lines, so a header that claims more rows than the
+    file holds is refused before any array is sized from it. Memory then
+    holds one block of lines plus the arrays returned.
+    """
+    with graph._open_rereadable(path) as fh:
+        num_lines = graph._count_lines(fh)
+        if not num_lines:
+            raise FileFormatError(path, 1, "empty mesh file")
+        head = fh.readline().split()
+        if len(head) != 3:
+            raise FileFormatError(path, 1, "expected 'dim num_nodes num_elements'")
+        try:
+            dim, nn, ne = (int(t) for t in head)
+        except ValueError:
+            raise FileFormatError(path, 1, "expected 'dim num_nodes num_elements'") from None
+        if dim not in (2, 3):
+            raise FileFormatError(path, 1, f"dim must be 2 or 3, got {dim}")
+        if nn < 0 or ne < 0:
+            message = f"counts must be >= 0, got {nn} nodes and {ne} elements"
+            raise FileFormatError(path, 1, message)
+        if num_lines < 1 + nn + ne:
+            message = f"expected {nn} coordinate and {ne} element lines"
+            raise FileFormatError(path, num_lines, message)
+
+        coords = np.empty((nn, dim), dtype=np.float64)
+        _parse_rows(path, fh, 1, coords, float, "coordinates", "bad coordinate value")
+        elems = np.empty((ne, 4 if dim == 2 else 8), dtype=np.int64)
+        _parse_rows(path, fh, 1 + nn, elems, int, "node ids", "bad node id", nn)
     try:
         mesh = Mesh(dim, elems, coords)
     except ValueError as exc:

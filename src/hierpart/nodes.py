@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import Graph, Partition, _read_ids, _write_ids, build_graph
 from .kway import _cut_subgraphs, derive_seed, partition_kway
-from .mesh import Mesh, _node_parts, _pair_nodes, _shared_sides
+from .mesh import Mesh, _local_sides, _node_parts, _pair_nodes, _shared_sides, _side_nodes
 
 __all__ = [
     "NodeOwnership",
@@ -101,6 +101,36 @@ def assign_parity(mesh: Mesh, elem_partition: Partition) -> NodeOwnership:
     return NodeOwnership.from_owner(owner, elem_partition.num_parts)
 
 
+def _interface_graph(
+    mesh: Mesh, elem_partition: Partition, offsets: np.ndarray, nodes: np.ndarray
+) -> Graph:
+    """Every pairwise interface graph, as one graph whose vertex i is ``nodes[i]``.
+
+    ``offsets`` is the node-to-ranks map of :func:`_node_parts`, and ``nodes``
+    lists the nodes on exactly two ranks. Two of them are joined wherever they
+    lie on a common side shared by elements on two ranks. Such a side lies on
+    elements whose nodes all touch two ranks or more, so only the sides of
+    elements with such a node are matched.
+    """
+    touching = np.flatnonzero((np.diff(offsets) >= 2)[mesh.element_nodes].any(axis=1))
+    near = Mesh(mesh.dim, mesh.element_nodes[touching], mesh.node_coords)
+    side_a, side_b = _shared_sides(near)
+    per_elem = len(_local_sides(near))
+    ranks = elem_partition.parts[touching]
+    side_nodes = _side_nodes(near, side_a[ranks[side_a // per_elem] != ranks[side_b // per_elem]])
+    # A side shared across ranks a and b puts its nodes on both, so those on
+    # no third rank are vertices of the interface graph of pair (a, b).
+    n = len(nodes)
+    vertex = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    vertex[nodes] = np.arange(n)
+    ends = vertex[side_nodes]  # vertices ascend along a row, as node ids do: u < v
+    first, second = np.triu_indices(ends.shape[1], 1)  # node pairs of one side
+    u, v = ends[:, first].ravel(), ends[:, second].ravel()
+    # A node pair may lie on several sides; the key u * n + v keeps it once.
+    keys = np.unique((u * n + v)[(u >= 0) & (v >= 0)])
+    return build_graph(np.column_stack([*np.divmod(keys, n), np.ones_like(keys)]), n)
+
+
 def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int) -> NodeOwnership:
     """Bisect each pairwise interface graph so both ranks own about half.
 
@@ -112,20 +142,8 @@ def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int)
     """
     owner, (offsets, parts) = _interior_owner(mesh, elem_partition)
     a, b, nodes = _pair_nodes(offsets, parts)
-    # Vertex i of one interface graph is nodes[i]. A side shared across ranks a and b
-    # puts its nodes on both, so those on no third rank are members of pair (a, b).
-    elem_a, elem_b, side_nodes = _shared_sides(mesh)
-    side_nodes = side_nodes[elem_partition.parts[elem_a] != elem_partition.parts[elem_b]]
-    del elem_a, elem_b  # they span every shared side: free them before the cuts
+    interface = _interface_graph(mesh, elem_partition, offsets, nodes)
     n = len(nodes)
-    vertex = np.full(mesh.num_nodes, -1, dtype=np.int64)
-    vertex[nodes] = np.arange(n)
-    ends = vertex[side_nodes]  # members ascend along a row, as node ids do: u < v
-    first, second = np.triu_indices(ends.shape[1], 1)  # node pairs of one side
-    u, v = ends[:, first].ravel(), ends[:, second].ravel()
-    # A node pair may lie on several sides; the key u * n + v keeps it once.
-    keys = np.unique((u * n + v)[(u >= 0) & (v >= 0)])
-    interface = build_graph(np.column_stack([*np.divmod(keys, n), np.ones_like(keys)]), n)
     num_ranks = elem_partition.num_parts
     starts = np.flatnonzero(np.diff(a * num_ranks + b, prepend=-1))
     groups = [ids for ids in np.split(np.arange(n), starts[1:]) if len(ids) > 1]

@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import INLINE_BREAKS, random_graph, random_partition
+from hierpart import graph as graph_module
 from hierpart.graph import _read_lines
 from hierpart import (
     FileFormatError,
@@ -18,6 +20,7 @@ from hierpart import (
     extract_subgraph,
     per_rank_metrics,
     read_graph,
+    read_mesh,
     read_partition,
     write_graph,
     write_partition,
@@ -212,6 +215,52 @@ def test_read_lines_splits_as_file_iteration(tmp_path, text, lines):
     assert _read_lines(str(path)) == lines
     with open(path) as fh:
         assert [line.removesuffix("\n") for line in fh] == lines
+
+
+@pytest.mark.parametrize("block_rows", [1, 4096])
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "a", "a\n\n", "a\r\nb\rc\n", "x" * 63 + "\r\n" + "y" * 64 + "\r", "z\n" * 200],
+)
+def test_count_lines_counts_what_read_lines_splits(tmp_path, monkeypatch, text, block_rows):
+    # At 1 row a block, the count reads 64 characters at a time: one "\r\n" straddles two reads.
+    monkeypatch.setattr(graph_module, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    with open(path) as fh:
+        assert graph_module._count_lines(fh) == len(_read_lines(str(path)))
+        assert fh.read() == text.replace("\r\n", "\n").replace("\r", "\n")  # back at the start
+
+
+@pytest.mark.parametrize("reader", [read_partition, read_mesh])
+def test_decode_error_is_positioned_in_the_whole_file(tmp_path, reader):
+    # Past the first chunk the line count reads, so its own position would be off.
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"0\n" * 300_000 + b"\xff\n")
+    with open(path) as fh, pytest.raises(UnicodeDecodeError) as whole:
+        fh.read()
+    with pytest.raises(UnicodeDecodeError) as got:
+        reader(str(path))
+    assert str(got.value) == str(whole.value)
+    assert "position 600000" in str(got.value)
+
+
+@pytest.mark.parametrize(
+    "reader,text,expected",
+    [
+        (read_partition, b"0\n1\n", lambda p: p.parts.tolist() == [0, 1]),
+        (read_mesh, b"2 4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n", lambda m: m.num_elements == 1),
+    ],
+)
+def test_readers_take_a_pipe(reader, text, expected):
+    # The readers count lines before they parse; a pipe cannot seek back, so it is read whole.
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text)
+        os.close(write_end)
+        assert expected(reader(f"/dev/fd/{read_end}"))
+    finally:
+        os.close(read_end)
 
 
 @pytest.mark.parametrize("sep", INLINE_BREAKS)

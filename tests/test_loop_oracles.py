@@ -14,6 +14,8 @@ import io
 import math
 import os
 import random
+import re
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -350,6 +352,22 @@ def _loop_dual_graph(mesh):
             else:
                 edges.append((other, e, 1))
     return _loop_build_graph(edges, mesh.num_elements)
+
+
+def _expected_dual_graph(mesh):
+    """The loop's outcome, except that two elements sharing several sides now
+    get one edge, from the first side they share.
+
+    The loop listed an edge for each shared side, and building its graph
+    refused the repeated element pair as a duplicate edge.
+    """
+    build = _loop_build_graph
+
+    def one_edge_per_pair(edges, num_vertices):
+        return build(list(dict.fromkeys(edges)), num_vertices)
+
+    with mock.patch.object(sys.modules[__name__], "_loop_build_graph", one_edge_per_pair):
+        return _outcome(_loop_dual_graph, mesh)
 
 
 def _loop_node_to_parts(mesh, elem_partition):
@@ -791,7 +809,7 @@ class TestMeshLayer:
     def test_dual_graph_and_node_parts_match_loop(self, seed):
         rng = random.Random(seed)
         mesh = _random_mesh(rng)
-        _same_graph_outcome(_outcome(_loop_dual_graph, mesh), _outcome(dual_graph, mesh))
+        _same_graph_outcome(_expected_dual_graph(mesh), _outcome(dual_graph, mesh))
         part = _random_partition(rng, mesh)
         unused = _first_unused_node(mesh)
         if unused is not None:  # the loop gave such a node no parts
@@ -1283,6 +1301,30 @@ class TestReadIds:
             assert _outcome(reader, path)[0] is UnicodeDecodeError
 
 
+class _InSmallBlocks:
+    """Mixed into a test class, runs its tests again with ``graph._BLOCK_ROWS``
+    at 1, 2 and 3 lines, so that block edges fall all over the short fuzzed
+    files and next to a bad line deep in a long one; the class itself runs
+    them at the default 4,096."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 2, 3])
+    def block_rows(self, request):
+        with mock.patch.object(graph_module, "_BLOCK_ROWS", request.param):
+            yield request.param
+
+
+class TestReadMeshInSmallBlocks(_InSmallBlocks, TestReadMesh):
+    pass
+
+
+class TestReadIdsInSmallBlocks(_InSmallBlocks, TestReadIds):
+    pass
+
+
+class TestMeshLayerInSmallBlocks(_InSmallBlocks, TestMeshLayer):
+    """Side matching builds its keys and compares sorted sides in blocks too."""
+
+
 class TestCReader:
     """numpy's C reader (``graph._loadtxt_rows``) against the line walker it
     falls back to: the same bytes, NaN signs and -0.0 included, or the same
@@ -1390,3 +1432,48 @@ class TestMainOnFuzzedFiles:
                         contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     assert main(argv) in (0, 2, 3, 4), argv
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_readers_name_one_bad_line(self, seed):
+        """``assign-nodes`` and ``report`` on fuzzed meshes and id files exit 0,
+        or exit 4 with one ``error: path:line: ...`` line and no ``--out``.
+
+        Id files hold as many ids as the mesh they go with, when it reads, so
+        that only a line of some file can be at fault; they are decodable.
+        """
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            mesh, elem_part, node_part, out = (
+                os.path.join(tmp, name) for name in ("m.txt", "p.txt", "n.txt", "o.txt")
+            )
+            with open(mesh, "w") as fh:
+                fh.write(_fuzzed_mesh_text(rng))
+            try:
+                read = read_mesh(mesh)
+                sizes = (read.num_elements, read.num_nodes)
+            except FileFormatError:
+                sizes = (5, 5)
+            for path, size in zip((elem_part, node_part), sizes):
+                with open(path, "wb") as fh:
+                    fh.write(_fuzzed_id_bytes(rng, size, [size + 1, 2**63]).replace(b"\xff", b""))
+            named = "|".join(map(re.escape, (mesh, elem_part, node_part)))
+            runs = [
+                ["assign-nodes", "--mesh", mesh, "--elem-part", elem_part,
+                 "--node-strategy", rng.choice(["lowest-rank", "parity", "interface"]),
+                 "--out", out],
+                ["report", "--mesh", mesh, "--elem-part", elem_part, "--node-part", node_part,
+                 "--format", rng.choice(["text", "csv"]), "--out", out],
+            ]
+            for argv in runs:
+                if os.path.exists(out):
+                    os.remove(out)
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    status = main(argv)
+                assert status in (0, 4), (argv, stderr.getvalue())
+                if status == 4:
+                    assert re.fullmatch(rf"error: ({named}):[1-9][0-9]*: [^\n]+\n", stderr.getvalue())
+                    assert not os.path.exists(out), argv

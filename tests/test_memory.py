@@ -1,0 +1,76 @@
+"""Memory bounds of the mesh input path, measured with tracemalloc.
+
+Readers hold one block of lines plus the arrays they return, side matching
+holds packed keys instead of sorted copies of every side, and the interface
+strategy matches only the sides of elements on a multi-rank node. Each bound
+is a stated multiple of what the call returns (or, for the interface strategy,
+a fixed size) that the whole-file readers and the sort of every side exceeded.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hierpart import (
+    Partition,
+    assign_interface_partition,
+    dual_graph,
+    generate_structured_hex,
+    generate_structured_quad,
+    read_mesh,
+    read_partition,
+    write_mesh,
+    write_partition,
+)
+
+
+def _peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _array_bytes(value) -> int:
+    """The bytes of the numpy arrays ``value`` holds as attributes."""
+    return sum(v.nbytes for v in vars(value).values() if isinstance(v, np.ndarray))
+
+
+@pytest.fixture(scope="module")
+def hex40():
+    return generate_structured_hex(40, 40, 40)
+
+
+def test_read_mesh_holds_little_beyond_its_arrays(hex40, tmp_path):
+    # 4.0 MB file, 5.5 MiB of arrays; reading the whole file at once peaked at 3.9x.
+    path = str(tmp_path / "m.txt")
+    write_mesh(hex40, path)
+    mesh, peak = _peak(read_mesh, path)
+    assert peak <= 1.5 * _array_bytes(mesh), peak
+
+
+def test_read_partition_holds_little_beyond_its_ids(hex40, tmp_path):
+    # 64,000 ids; reading the whole file at once peaked at 3.2x their bytes.
+    path = str(tmp_path / "p.txt")
+    write_partition(Partition(np.arange(hex40.num_elements) % 7, 7), path)
+    partition, peak = _peak(read_partition, path)
+    assert peak <= 2.5 * partition.parts.nbytes, peak
+
+
+def test_dual_graph_holds_little_beyond_its_graph(hex40):
+    # Sorting a copy of every face peaked at 6.1x the graph's arrays.
+    graph, peak = _peak(dual_graph, hex40)
+    assert peak <= 3 * _array_bytes(graph), peak
+
+
+def test_interface_strategy_matches_only_sides_near_an_interface():
+    # 16 blocks of 64x64 on quad 256²: matching every side peaked at 19.8 MiB.
+    mesh = generate_structured_quad(256, 256)
+    x, y = np.arange(mesh.num_elements) % 256, np.arange(mesh.num_elements) // 256
+    partition = Partition(x // 64 + 4 * (y // 64), 16)
+    _, peak = _peak(assign_interface_partition, mesh, partition, 0)
+    assert peak <= 12 * 2**20, peak

@@ -192,6 +192,20 @@ class TestDualGraph:
             assert dual_graph(m).num_vertices == m.num_elements
 
 
+    def test_elements_sharing_several_sides_get_one_edge(self):
+        # The second quad lists the first one's nodes in another order: all four sides match.
+        g = dual_graph(Mesh(2, [[0, 1, 2, 3], [1, 0, 3, 2]], np.zeros((4, 2))))
+        assert (g.adjacency_list.tolist(), g.edge_weights.tolist()) == ([1, 0], [1, 1])
+
+    def test_too_many_nodes_for_int64_side_keys(self):
+        # 3,037,000,500² > 2**63; the coordinates are a broadcast view, so nothing is allocated.
+        coords = np.broadcast_to(np.zeros(3), (3_037_000_500, 3))
+        mesh = Mesh(3, [list(range(8))], coords)
+        with pytest.raises(ValueError, match="3037000500 nodes on int64 keys"):
+            dual_graph(mesh)
+        assert dual_graph(Mesh(3, [list(range(8))], coords[:3_037_000_499])).num_vertices == 1
+
+
 def _attached(mesh, partition):
     """Each node's parts, as a list, from the compressed map of ``_node_parts``."""
     offsets, parts = _node_parts(mesh, partition)
