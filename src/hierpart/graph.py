@@ -493,25 +493,29 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
 
     The file is read a block of ``_BLOCK_ROWS`` lines at a time, after a
     first pass that counts its lines, so memory holds one block plus the ids
-    returned. Each block goes through :func:`_loadtxt_rows`. A file in which
-    it refuses a block (a blank line makes it refuse one) is read again: its
-    ids are counted, and only the blocks it refuses then are walked line by
-    line, to convert their ids with ``int`` or name the first bad line.
+    returned. Each block's lines go through :func:`_loadtxt_rows` as they
+    are, which a file of one id per line passes at the cost of one read. Once
+    it refuses a block (a blank line makes it refuse one), later blocks are
+    only searched for blank lines, to count the ids, and the file is read
+    again: each block's stripped ids go through :func:`_loadtxt_rows`, and a
+    block it refuses then is walked line by line, to convert its ids with
+    ``int`` or name the first bad line.
     """
     with _open_rereadable(path) as fh:
         num_lines = _count_lines(fh)
         ids = np.empty(num_lines, dtype=np.int64)
-        filled = 0
-        for block in _line_blocks(fh, num_lines):  # while every line holds one id
-            rows = _loadtxt_rows(block, np.int64, 1, num_lines + 1)
+        filled = blank = 0
+        refused = False
+        for block in _line_blocks(fh, num_lines):
+            rows = None if refused else _loadtxt_rows(block, np.int64, 1, num_lines + 1)
             if rows is None:
-                break
-            ids[filled:filled + len(block)] = rows.reshape(-1)
-            filled += len(block)
-        if filled == num_lines > 0:
+                refused = True
+                blank += sum(map(str.isspace, block))
+            else:
+                ids[filled:filled + len(block)] = rows.reshape(-1)
+                filled += len(block)
+        if num_lines and not refused:
             return ids
-        fh.seek(0)
-        blank = sum(sum(map(str.isspace, block)) for block in _line_blocks(fh, num_lines))
         count = num_lines - blank
         if not count:
             raise FileFormatError(path, 1, f"empty {kind} file")

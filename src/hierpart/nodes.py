@@ -108,9 +108,9 @@ def _interface_graph(
 
     ``offsets`` is the node-to-ranks map of :func:`_node_parts`, and ``nodes``
     lists the nodes on exactly two ranks. Two of them are joined wherever they
-    lie on a common side shared by elements on two ranks. Such a side lies on
-    elements whose nodes all touch two ranks or more, so only the sides of
-    elements with such a node are matched.
+    lie on a common side shared by elements on two ranks. Every node of such a
+    side is on both ranks, so both of its elements contain a node on two
+    ranks or more; only the sides of those elements are matched.
     """
     touching = np.flatnonzero((np.diff(offsets) >= 2)[mesh.element_nodes].any(axis=1))
     near = Mesh(mesh.dim, mesh.element_nodes[touching], mesh.node_coords)
