@@ -13,6 +13,22 @@ from hierpart import Graph, Partition, build_graph, generate_structured_quad
 INLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a text file, split as iterating over the file splits them.
+
+    Only line breaks end a line (``\\n``, ``\\r\\n`` or ``\\r``); other
+    characters ``str.splitlines`` breaks at, such as ``\\x0c``, stay inside
+    it. A final line break adds no empty line, so an empty file has none.
+    This is the line-split oracle of the block readers, and the whole-file
+    read of the graph reader oracle in ``test_loop_oracles``.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 @pytest.fixture
 def path4() -> Graph:
     """0-1-2-3 with unit weights; the smallest graph with a unique best cut."""

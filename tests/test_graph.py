@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INLINE_BREAKS, random_graph, random_partition
+from conftest import INLINE_BREAKS, _read_lines, random_graph, random_partition
 from hierpart import graph as graph_module
-from hierpart.graph import _read_lines
 from hierpart import (
     FileFormatError,
     Graph,
@@ -232,7 +231,7 @@ def test_count_lines_counts_what_read_lines_splits(tmp_path, monkeypatch, text, 
         assert fh.read() == text.replace("\r\n", "\n").replace("\r", "\n")  # back at the start
 
 
-@pytest.mark.parametrize("reader", [read_partition, read_mesh])
+@pytest.mark.parametrize("reader", [read_partition, read_mesh, read_graph])
 def test_decode_error_is_positioned_in_the_whole_file(tmp_path, reader):
     # Past the first chunk the line count reads, so its own position would be off.
     path = tmp_path / "f.txt"
@@ -250,6 +249,7 @@ def test_decode_error_is_positioned_in_the_whole_file(tmp_path, reader):
     [
         (read_partition, b"0\n1\n", lambda p: p.parts.tolist() == [0, 1]),
         (read_mesh, b"2 4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n", lambda m: m.num_elements == 1),
+        (read_graph, b"3 2\n2\n1 3\n2\n", lambda g: g.adjacency_list.tolist() == [1, 0, 2, 1]),
     ],
 )
 def test_readers_take_a_pipe(reader, text, expected):

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import INLINE_BREAKS, _read_lines
 from hierpart import (
     FileFormatError,
     Graph,
@@ -42,6 +43,7 @@ from hierpart import (
     heavy_edge_match,
     initial_bisection,
     partition_kway,
+    read_graph,
     read_mesh,
     read_ownership,
     read_partition,
@@ -209,6 +211,45 @@ def _loop_write_graph(graph, path):
         lines.append(" ".join(str(int(u) + 1) for u in _neighbors(graph, v)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _loop_read_graph(path):
+    raw = _read_lines(path)
+    if not raw:
+        raise FileFormatError(path, 1, "empty graph file")
+    head = raw[0].split()
+    if len(head) != 2:
+        raise FileFormatError(path, 1, "expected 'num_vertices num_edges'")
+    try:
+        nv, ne = int(head[0]), int(head[1])
+    except ValueError:
+        raise FileFormatError(path, 1, "expected 'num_vertices num_edges'") from None
+    if nv < 0 or ne < 0:
+        raise FileFormatError(path, 1, f"counts must be >= 0, got {nv} vertices and {ne} edges")
+    if len(raw) < nv + 1:
+        raise FileFormatError(path, len(raw), f"expected {nv} adjacency lines")
+
+    # Per edge, how often its lower and its higher end list the other.
+    listings: dict[tuple[int, int], list[int]] = {}
+    for v in range(nv):
+        lineno = v + 2
+        for token in raw[v + 1].split():
+            try:
+                u = int(token) - 1
+            except ValueError:
+                raise FileFormatError(path, lineno, f"bad neighbor id {token!r}") from None
+            if not (0 <= u < nv):
+                raise FileFormatError(path, lineno, f"neighbor id {u + 1} out of range")
+            if u == v:
+                raise FileFormatError(path, lineno, f"self-loop at vertex {v}")
+            key = (v, u) if v < u else (u, v)
+            listings.setdefault(key, [0, 0])[v > u] += 1
+    for (a, b), sides in listings.items():
+        if sides != [1, 1]:
+            raise FileFormatError(path, a + 2, f"edge ({a}, {b}) not listed symmetrically")
+    if len(listings) != ne:
+        raise FileFormatError(path, 1, f"header says {ne} edges, file lists {len(listings)}")
+    return build_graph([(a, b, 1) for a, b in sorted(listings)], nv)
 
 
 # ---------------------------------------------------------------------------
@@ -1284,6 +1325,141 @@ class TestReadIds:
             assert _outcome(reader, path)[0] is UnicodeDecodeError
 
 
+# Tokens an adjacency line may hold besides a plain neighbor id, for a graph of
+# nv vertices listed on the line of vertex v (1-indexed ids): junk, ids int()
+# accepts and numpy's C reader refuses, ids out of range, and a self-loop.
+def _graph_tokens(nv, v):
+    return ["x", "1_0", "٣", "0", str(nv + 1), str(v + 1), *_READER_TOKENS]
+
+
+def _fuzzed_graph_text(rng):
+    """A graph file of up to 12 vertices, each line's neighbors in random order.
+
+    Now and then a token is replaced (``_graph_tokens``), dropped or doubled,
+    or one is added: the edge is then listed from one end only, or twice from
+    one end, or the line lists its own vertex. The header's edge count may be
+    off by one, the header malformed, a line deleted, blank lines or junk
+    lines follow the last adjacency line, and tokens are separated by
+    characters ``str.split`` splits on and file iteration does not.
+    """
+    nv = rng.choice([0, 1, 2] + [rng.randint(3, 12)] * 4)
+    adjacency = [[] for _ in range(nv)]
+    for u in range(nv):
+        for v in range(u + 1, nv):
+            if rng.random() < 0.3:
+                adjacency[u].append(str(v + 1))
+                adjacency[v].append(str(u + 1))
+    num_edges = sum(map(len, adjacency)) // 2
+    for tokens in adjacency:
+        rng.shuffle(tokens)
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3]) if nv else 0):
+        v = rng.randrange(nv)
+        tokens = adjacency[v]
+        kind = rng.choice("rrdDaa")
+        if kind == "r" and tokens:
+            tokens[rng.randrange(len(tokens))] = rng.choice(_graph_tokens(nv, v))
+        elif kind == "d" and tokens:
+            tokens.pop(rng.randrange(len(tokens)))
+        elif kind == "D" and tokens:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(tokens))
+        elif kind == "a":
+            tokens.insert(rng.randint(0, len(tokens)), str(rng.randint(1, nv)))
+    header = [str(nv), str(num_edges + rng.choice([0, 0, 0, 0, 0, 0, -1, 1]))]
+    if rng.random() < 0.05:
+        header = rng.choice([[], [str(nv)], header + ["0"], ["x", header[1]], ["-1", "0"]])
+    spaces = [" "] * 6 + ["  ", "\t", *INLINE_BREAKS]
+    lines = [" ".join(header)] + [rng.choice(spaces).join(tokens) for tokens in adjacency]
+    if rng.random() < 0.1:
+        del lines[rng.randrange(len(lines))]
+    if rng.random() < 0.2:
+        lines += rng.choice([[""], ["", " "], ["1 2", "x"], ["0 0"]])
+    text = "".join(line + rng.choice(["\n", "\n", "\n", "\r\n", "\r"]) for line in lines)
+    return text.rstrip("\r\n") if rng.random() < 0.2 else text
+
+
+class TestReadGraph:
+    """``read_graph`` against ``_loop_read_graph``: the same graph arrays, or the
+    same error type and message."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=400, deadline=None)
+    def test_read_graph_matches_loop(self, seed):
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "w", newline="") as fh:
+                fh.write(_fuzzed_graph_text(rng))
+            _same_graph_outcome(_outcome(_loop_read_graph, path), _outcome(read_graph, path))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_one_fault_deep_in_a_long_file_matches_loop(self, seed):
+        # Over 4,096 lines, so the fault lies in a later block at the default size.
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            mesh = generate_structured_quad(rng.randint(65, 70), rng.randint(65, 70))
+        else:
+            mesh = generate_structured_hex(16, 16, rng.randint(17, 18))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            write_graph(dual_graph(mesh), path)
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            v = rng.randrange(len(lines) // 2, len(lines) - 1)
+            tokens = lines[v + 1].split()
+            kind = rng.choice("rda")
+            if kind == "r":
+                tokens[rng.randrange(len(tokens))] = rng.choice(_graph_tokens(len(lines) - 1, v))
+            elif kind == "d":
+                tokens.pop(rng.randrange(len(tokens)))
+            else:
+                tokens.append(rng.choice(tokens + [str(rng.randint(1, len(lines) - 1))]))
+            lines[v + 1] = " ".join(tokens)
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            _same_graph_outcome(_outcome(_loop_read_graph, path), _outcome(read_graph, path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 0\n",
+            "0 1\n",
+            "0 0\n1 2\nx\n",  # lines after the last adjacency line are not read
+            "1 0\n",  # vertex 0's adjacency line missing
+            "1 0\n\n",
+            "3 1\n\n3\n2\n",
+            "3 2\n2\n1 3\n2",  # no final line break
+            "3 2\r\n2\r\n1 3\r\n2\r\n",
+            "3 2\r2\r1 3\r2\r",
+            "3 2\n2\n1\x0c3\n2\n",  # a form feed splits tokens, not lines
+            "3 1\n3\n\n1 1\n",  # a doubled listing from the higher end
+            "4 2\n\n3\n2\n1\n",  # (0, 3) is listed from vertex 3 only, after (1, 2)
+            "5 2\n\n3\n\n\n1\n",  # (1, 2) listed once each way, then (0, 4) from one end
+            "4 1\n4\n3\n\n1\n",  # (1, 2) one-sided and listed before (0, 3) is complete
+            "3 2\n2\n1 1\n",  # (0, 1) listed twice from vertex 1, once from vertex 0
+            "3 1\n2\n1 3\n2\n",  # header edge count one short
+            "3 3\n2\n1 3\n2\n",  # one over
+            "2 1\n2\n1 1_0\n",
+            "12 1\n1_0\n\n\n\n\n\n\n\n\n1\n\n\n",  # int() accepts 1_0, the C reader does not
+            "4 1\n٣\n\n1\n\n",  # a non-ASCII digit
+            "2 1\n0\n1\n",
+            "2 1\n2\n3\n",
+            "2 1\n2\n2\n",  # self-loop
+            "2 1\nx 0\n1\n",  # a bad token wins over a later out-of-range one
+            "2 1\n2\n1 x\n",
+            "2 1 0\n2\n1\n",
+            "x 1\n2\n1\n",
+            "",
+            "\n",
+        ],
+    )
+    def test_cases_match_loop(self, tmp_path, text):
+        path = str(tmp_path / "g.txt")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        _same_graph_outcome(_outcome(_loop_read_graph, path), _outcome(read_graph, path))
+
+
 class _InSmallBlocks:
     """Mixed into a test class, runs its tests again with ``graph._BLOCK_ROWS``
     at 1, 2 and 3 lines, so that block edges fall all over the short fuzzed
@@ -1301,6 +1477,10 @@ class TestReadMeshInSmallBlocks(_InSmallBlocks, TestReadMesh):
 
 
 class TestReadIdsInSmallBlocks(_InSmallBlocks, TestReadIds):
+    pass
+
+
+class TestReadGraphInSmallBlocks(_InSmallBlocks, TestReadGraph):
     pass
 
 
