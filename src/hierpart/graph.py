@@ -357,57 +357,45 @@ def write_graph(graph: Graph, path: str) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of a text file, split as iterating over the file splits them.
-
-    Only line breaks end a line (``\\n``, ``\\r\\n`` or ``\\r``); other
-    characters ``str.splitlines`` breaks at, such as ``\\x0c``, stay inside
-    it. A final line break adds no empty line, so an empty file has none.
-    """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
 def read_graph(path: str) -> Graph:
-    raw = _read_lines(path)
-    if not raw:
-        raise FileFormatError(path, 1, "empty graph file")
-    head = raw[0].split()
-    if len(head) != 2:
-        raise FileFormatError(path, 1, "expected 'num_vertices num_edges'")
-    try:
-        nv, ne = int(head[0]), int(head[1])
-    except ValueError:
-        raise FileFormatError(path, 1, "expected 'num_vertices num_edges'") from None
-    if nv < 0 or ne < 0:
-        raise FileFormatError(path, 1, f"counts must be >= 0, got {nv} vertices and {ne} edges")
-    if len(raw) < nv + 1:
-        raise FileFormatError(path, len(raw), f"expected {nv} adjacency lines")
-
-    # Per edge, how often its lower and its higher end list the other.
-    listings: dict[tuple[int, int], list[int]] = {}
-    for v in range(nv):
-        lineno = v + 2
-        for token in raw[v + 1].split():
-            try:
-                u = int(token) - 1
-            except ValueError:
-                raise FileFormatError(path, lineno, f"bad neighbor id {token!r}") from None
-            if not (0 <= u < nv):
-                raise FileFormatError(path, lineno, f"neighbor id {u + 1} out of range")
-            if u == v:
-                raise FileFormatError(path, lineno, f"self-loop at vertex {v}")
-            key = (v, u) if v < u else (u, v)
-            listings.setdefault(key, [0, 0])[v > u] += 1
-    for (a, b), sides in listings.items():
-        if sides != [1, 1]:
-            raise FileFormatError(path, a + 2, f"edge ({a}, {b}) not listed symmetrically")
-    if len(listings) != ne:
-        raise FileFormatError(path, 1, f"header says {ne} edges, file lists {len(listings)}")
-    return build_graph([(a, b, 1) for a, b in sorted(listings)], nv)
+    """Read a graph file (format above) a block of lines at a time, as
+    :func:`read_mesh` does. Memory holds one block of lines plus a key
+    ``v * nv + u`` for each neighbor ``u`` listed on the line of vertex ``v``,
+    which fits int64 on any file :func:`build_graph` accepts."""
+    with _open_rereadable(path) as fh:
+        num_lines, (nv, ne) = _read_header(path, fh, "graph", "num_vertices num_edges")
+        if nv < 0 or ne < 0:
+            raise FileFormatError(path, 1, f"counts must be >= 0, got {nv} vertices and {ne} edges")
+        if num_lines < nv + 1:
+            raise FileFormatError(path, num_lines, f"expected {nv} adjacency lines")
+        listed, first = [np.empty(0, dtype=np.int64)], 0
+        for block in _line_blocks(fh, nv):
+            counts = [len(line.split()) for line in block]
+            sources = np.repeat(np.arange(first, first + len(block)), counts)
+            ids = _loadtxt_rows(" ".join(block).split(), np.int64, 1, nv + 1)
+            neighbors = None if ids is None else ids[:, 0] - 1
+            if neighbors is None or np.any((neighbors < 0) | (neighbors == sources)):
+                neighbors = _walk_neighbors(path, block, first, nv)
+            listed.append(sources * nv + neighbors)
+            first += len(block)
+    # Every edge must be listed once from each end: sorted, the edges listed
+    # from their lower ends equal those listed from their higher ends.
+    src, dst = np.divmod(np.concatenate(listed), nv)
+    edges = np.minimum(src, dst) * nv + np.maximum(src, dst)
+    lower, upper = np.sort(edges[src < dst]), np.sort(edges[src > dst])
+    del listed, src, dst
+    if np.any(lower[1:] == lower[:-1]) or not np.array_equal(lower, upper):
+        # Name the edge listed first of those not listed once from each end.
+        once = [
+            np.searchsorted(s, edges, "right") - np.searchsorted(s, edges) == 1 for s in (lower, upper)
+        ]
+        a, b = divmod(int(edges[np.argmin(once[0] & once[1])]), nv)
+        raise FileFormatError(path, a + 2, f"edge ({a}, {b}) not listed symmetrically")
+    if len(lower) != ne:
+        raise FileFormatError(path, 1, f"header says {ne} edges, file lists {len(lower)}")
+    del edges, upper
+    a, b = np.divmod(lower, nv)
+    return build_graph(np.array([a, b, np.ones_like(a)]).T, nv)
 
 
 def write_partition(partition: Partition, path: str) -> None:
@@ -454,8 +442,8 @@ def _open_rereadable(path: str):
 
 
 def _count_lines(fh) -> int:
-    """The number of lines in text file ``fh``, counted as :func:`_read_lines`
-    splits them; ``fh`` is read in bounded chunks and left at its start.
+    """The number of lines in text file ``fh``, counted as iterating over the
+    file splits them; ``fh`` is read in bounded chunks and left at its start.
 
     The whole file is decoded here, before any line is parsed; a decode error
     is raised as one read of the whole file raises it, at its byte position in
@@ -480,6 +468,41 @@ def _line_blocks(lines: Iterable[str], count: int) -> Iterator[list[str]]:
     lines = iter(lines)
     for first in range(0, count, _BLOCK_ROWS):
         yield list(itertools.islice(lines, min(_BLOCK_ROWS, count - first)))
+
+
+def _read_header(path: str, fh, kind: str, fields: str) -> tuple[int, list[int]]:
+    """The line count of text file ``fh`` and the ints on its first line, one
+    per name in ``fields``; ``kind`` names the file when it is empty."""
+    num_lines = _count_lines(fh)
+    if not num_lines:
+        raise FileFormatError(path, 1, f"empty {kind} file")
+    head = fh.readline().split()
+    try:
+        if len(head) == len(fields.split()):
+            return num_lines, [int(t) for t in head]
+    except ValueError:
+        pass
+    raise FileFormatError(path, 1, f"expected '{fields}'")
+
+
+def _walk_neighbors(path: str, block: list[str], first: int, nv: int) -> np.ndarray:
+    """The 0-indexed neighbors listed on the adjacency lines in ``block``, the
+    first of vertex ``first``, converted by ``int``, or the error that names
+    the first bad one. This walks a block :func:`_loadtxt_rows` refuses, or
+    that lists an id out of range or a self-loop."""
+    neighbors = []
+    for v, line in enumerate(block, start=first):
+        for token in line.split():
+            try:
+                u = int(token) - 1
+            except ValueError:
+                raise FileFormatError(path, v + 2, f"bad neighbor id {token!r}") from None
+            if not (0 <= u < nv):
+                raise FileFormatError(path, v + 2, f"neighbor id {u + 1} out of range")
+            if u == v:
+                raise FileFormatError(path, v + 2, f"self-loop at vertex {v}")
+            neighbors.append(u)
+    return np.array(neighbors, dtype=np.int64)
 
 
 def _read_ids(path: str, kind: str, what: str) -> np.ndarray:

@@ -302,16 +302,7 @@ def read_mesh(path: str) -> Mesh:
     holds one block of lines plus the arrays returned.
     """
     with graph._open_rereadable(path) as fh:
-        num_lines = graph._count_lines(fh)
-        if not num_lines:
-            raise FileFormatError(path, 1, "empty mesh file")
-        head = fh.readline().split()
-        if len(head) != 3:
-            raise FileFormatError(path, 1, "expected 'dim num_nodes num_elements'")
-        try:
-            dim, nn, ne = (int(t) for t in head)
-        except ValueError:
-            raise FileFormatError(path, 1, "expected 'dim num_nodes num_elements'") from None
+        num_lines, (dim, nn, ne) = graph._read_header(path, fh, "mesh", "dim num_nodes num_elements")
         if dim not in (2, 3):
             raise FileFormatError(path, 1, f"dim must be 2 or 3, got {dim}")
         if nn < 0 or ne < 0:

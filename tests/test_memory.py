@@ -1,8 +1,9 @@
-"""Memory bounds of the mesh input path, measured with tracemalloc.
+"""Memory bounds of the mesh and graph input paths, measured with tracemalloc.
 
-Readers hold one block of lines plus the arrays they return, side matching
-holds packed keys instead of sorted copies of every side, and the interface
-strategy matches only the sides of elements on a multi-rank node. Each bound
+Readers hold one block of lines plus the arrays they return (and, for a
+graph, a key per neighbor listing), side matching holds packed keys instead
+of sorted copies of every side, and the interface strategy matches only the
+sides of elements on a multi-rank node. Each bound
 is a stated multiple of what the call returns (or, for the interface strategy,
 a fixed size) that the whole-file readers and the sort of every side exceeded.
 """
@@ -18,8 +19,10 @@ from hierpart import (
     dual_graph,
     generate_structured_hex,
     generate_structured_quad,
+    read_graph,
     read_mesh,
     read_partition,
+    write_graph,
     write_mesh,
     write_partition,
 )
@@ -59,6 +62,15 @@ def test_read_partition_holds_little_beyond_its_ids(hex40, tmp_path):
     write_partition(Partition(np.arange(hex40.num_elements) % 7, 7), path)
     partition, peak = _peak(read_partition, path)
     assert peak <= 2.5 * partition.parts.nbytes, peak
+
+
+def test_read_graph_holds_little_beyond_its_arrays(hex40, tmp_path):
+    # 2.1 MiB file, 6.7 MiB of arrays; reading the whole file into a dict of
+    # every edge peaked at 11.7x.
+    path = str(tmp_path / "g.txt")
+    write_graph(dual_graph(hex40), path)
+    graph, peak = _peak(read_graph, path)
+    assert peak <= 4 * _array_bytes(graph), peak
 
 
 def test_dual_graph_holds_little_beyond_its_graph(hex40):
