@@ -1392,7 +1392,7 @@ class TestReadGraph:
             _same_graph_outcome(_outcome(_loop_read_graph, path), _outcome(read_graph, path))
 
     @given(st.integers(0, 100_000))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=15, deadline=None)
     def test_one_fault_deep_in_a_long_file_matches_loop(self, seed):
         # Over 4,096 lines, so the fault lies in a later block at the default size.
         rng = random.Random(seed)
@@ -1553,7 +1553,7 @@ class TestCReader:
 
 
 class TestMainOnFuzzedFiles:
-    """Every command on fuzzed mesh and id files ends in exit 0, 2, 3 or 4."""
+    """Every command on fuzzed mesh, graph and id files ends in exit 0, 2, 3 or 4."""
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
@@ -1644,3 +1644,32 @@ class TestMainOnFuzzedFiles:
                 if status == 4:
                     assert re.fullmatch(rf"error: ({named}):[1-9][0-9]*: [^\n]+\n", stderr.getvalue())
                     assert not os.path.exists(out), argv
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_partition_graph_names_one_bad_line(self, seed):
+        """``partition --graph`` on a fuzzed graph file exits 0, or 3 when
+        ``--np`` exceeds its vertices, or 4 with one ``error: path:line: ...``
+        line and no ``--out``; exit 4 exactly when ``read_graph`` refuses it."""
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, out = os.path.join(tmp, "g.txt"), os.path.join(tmp, "o.txt")
+            with open(graph, "w", newline="") as fh:
+                fh.write(_fuzzed_graph_text(rng))
+            np_ = rng.randint(1, 8)
+            argv = ["partition", "--graph", graph, "--np", str(np_), "--np2", str(rng.randint(1, 3)),
+                    "--method", rng.choice(["hierarch", "flat"]), "--seed", str(rng.randrange(10)),
+                    "--format", rng.choice(["text", "csv"]), "--out", out]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                status = main(argv)
+            read = _outcome(read_graph, graph)
+            if isinstance(read, tuple):
+                assert status == 4, (argv, stderr.getvalue())
+                assert re.fullmatch(rf"error: {re.escape(graph)}:[1-9][0-9]*: [^\n]+\n", stderr.getvalue())
+                assert not os.path.exists(out)
+            else:
+                assert status == (3 if np_ > read.num_vertices else 0), (argv, stderr.getvalue())
+                assert os.path.exists(out) == (status == 0)
