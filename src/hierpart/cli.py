@@ -222,7 +222,8 @@ def _report_rows(args: argparse.Namespace) -> tuple[list[tuple], int, float, flo
         (pid, m.vertex_count, int(ownership.counts[pid]), m.boundary_edge_count)
         for pid, m in enumerate(metrics)
     ]
-    global_cut = edge_cut(graph, partition)
+    # Dual-graph edges weigh 1, so the tallies count each cut edge twice.
+    global_cut = sum(m.boundary_edge_count for m in metrics) // 2
     return rows, global_cut, node_ratio(ownership), _elem_ratio(partition)
 
 
