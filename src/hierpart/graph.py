@@ -393,9 +393,11 @@ def read_graph(path: str) -> Graph:
         raise FileFormatError(path, a + 2, f"edge ({a}, {b}) not listed symmetrically")
     if len(lower) != ne:
         raise FileFormatError(path, 1, f"header says {ne} edges, file lists {len(lower)}")
-    del edges, upper
-    a, b = np.divmod(lower, nv)
-    return build_graph(np.array([a, b, np.ones_like(a)]).T, nv)
+    # Column-major (a, b, 1) triples, so build_graph takes its columns as views.
+    triples = np.ones((3, len(lower)), dtype=np.int64)
+    np.divmod(lower, nv, out=(triples[0], triples[1]))
+    del edges, lower, upper
+    return build_graph(triples.T, nv)
 
 
 def write_partition(partition: Partition, path: str) -> None:

@@ -5,8 +5,8 @@ implementation, kept verbatim (apart from its name and the names it calls,
 and the ascending local runs of ``_loop_extract_subgraph``) as an independent
 reference. Every test asserts identical arrays, identical file
 bytes, or the identical exception type and message, on random and malformed
-inputs. The fuzzed mesh and id files also drive ``main()`` itself, which must
-end in exit 0, 2, 3 or 4.
+inputs. The fuzzed mesh, graph and id files also drive ``main()`` itself,
+which must end in exit 0, 2, 3 or 4.
 """
 
 import contextlib
@@ -1434,8 +1434,8 @@ class TestReadGraph:
             "3 2\n2\n1\x0c3\n2\n",  # a form feed splits tokens, not lines
             "3 1\n3\n\n1 1\n",  # a doubled listing from the higher end
             "4 2\n\n3\n2\n1\n",  # (0, 3) is listed from vertex 3 only, after (1, 2)
-            "5 2\n\n3\n\n\n1\n",  # (1, 2) listed once each way, then (0, 4) from one end
-            "4 1\n4\n3\n\n1\n",  # (1, 2) one-sided and listed before (0, 3) is complete
+            "5 2\n\n3\n\n\n1\n",  # (1, 2) and (0, 4) one-sided: (1, 2) is listed first
+            "4 1\n4\n3\n\n1\n",  # (1, 2) one-sided, (0, 3) listed from both ends
             "3 2\n2\n1 1\n",  # (0, 1) listed twice from vertex 1, once from vertex 0
             "3 1\n2\n1 3\n2\n",  # header edge count one short
             "3 3\n2\n1 3\n2\n",  # one over
