@@ -1437,6 +1437,7 @@ class TestReadGraph:
             "5 2\n\n3\n\n\n1\n",  # (1, 2) and (0, 4) one-sided: (1, 2) is listed first
             "4 1\n4\n3\n\n1\n",  # (1, 2) one-sided, (0, 3) listed from both ends
             "3 2\n2\n1 1\n",  # (0, 1) listed twice from vertex 1, once from vertex 0
+            "2 2\n2 2\n1 1\n",  # (0, 1) listed twice from each end
             "3 1\n2\n1 3\n2\n",  # header edge count one short
             "3 3\n2\n1 3\n2\n",  # one over
             "2 1\n2\n1 1_0\n",

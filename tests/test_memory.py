@@ -3,9 +3,9 @@
 Readers hold one block of lines plus the arrays they return (and, for a
 graph, a key per neighbor listing), side matching holds packed keys instead
 of sorted copies of every side, and the interface strategy matches only the
-sides of elements on a multi-rank node. Each bound
-is a stated multiple of what the call returns (or, for the interface strategy,
-a fixed size) that the whole-file readers and the sort of every side exceeded.
+sides of elements on a multi-rank node. Each bound is a stated multiple of
+what the call returns (or, for the interface strategy, a fixed size) that the
+whole-file readers and the sort of every side exceeded.
 """
 
 import tracemalloc
