@@ -30,7 +30,6 @@ from .graph import (
     Partition,
     balance_stats,
     edge_cut,
-    per_rank_metrics,
     read_graph,
     read_partition,
     write_partition,
@@ -38,7 +37,8 @@ from .graph import (
 from .hierarchy import hierarchical_partition
 from .kway import partition_kway
 from .mesh import (
-    Mesh, dual_graph, generate_structured_hex, generate_structured_quad, read_mesh, write_mesh,
+    Mesh, _element_pairs, dual_graph, generate_structured_hex, generate_structured_quad, read_mesh,
+    write_mesh,
 )
 from .nodes import (
     NodeOwnership,
@@ -216,15 +216,13 @@ def _report_rows(args: argparse.Namespace) -> tuple[list[tuple], int, float, flo
     partition = Partition(partition.parts, num_ranks)
     ownership = NodeOwnership.from_owner(ownership.owner, num_ranks)
 
-    graph = dual_graph(mesh)
-    metrics = per_rank_metrics(graph, partition)
-    rows = [
-        (pid, m.vertex_count, int(ownership.counts[pid]), m.boundary_edge_count)
-        for pid, m in enumerate(metrics)
-    ]
-    # Dual-graph edges weigh 1, so the tallies count each cut edge twice.
-    global_cut = sum(m.boundary_edge_count for m in metrics) // 2
-    return rows, global_cut, node_ratio(ownership), _elem_ratio(partition)
+    # A cut element pair counts once for each of its two parts.
+    part_a, part_b = (partition.parts[elems] for elems in _element_pairs(mesh))
+    cut = part_a != part_b
+    boundary = sum(np.bincount(parts[cut], minlength=num_ranks) for parts in (part_a, part_b))
+    columns = (partition.part_sizes(), ownership.counts, boundary)
+    rows = list(zip(range(num_ranks), *(column.tolist() for column in columns)))
+    return rows, int(cut.sum()), node_ratio(ownership), _elem_ratio(partition)
 
 
 def run_report(args: argparse.Namespace) -> None:

@@ -23,11 +23,9 @@ __all__ = [
     "Graph",
     "Partition",
     "BalanceStats",
-    "PartMetrics",
     "build_graph",
     "extract_subgraph",
     "edge_cut",
-    "per_rank_metrics",
     "balance_stats",
     "read_graph",
     "write_graph",
@@ -145,12 +143,6 @@ class BalanceStats:
     max_over_avg: float
 
 
-@dataclass
-class PartMetrics:
-    vertex_count: int
-    boundary_edge_count: int
-
-
 def build_graph(
     edge_list: Iterable[tuple[int, int, int]] | np.ndarray,
     num_vertices: int,
@@ -257,11 +249,11 @@ def extract_subgraph(graph: Graph, vertex_set: Sequence[int]) -> tuple[Graph, np
     n_local = len(local_to_global)
     if n_local and (local_to_global.min() < 0 or local_to_global.max() >= graph.num_vertices):
         raise ValueError("vertex id out of range")
-    if len(np.unique(local_to_global)) != n_local:
-        raise ValueError("duplicate vertex id in vertex_set")
-
     global_to_local = np.full(graph.num_vertices, -1, dtype=np.int64)
     global_to_local[local_to_global] = np.arange(n_local)
+    # A repeated id maps back to one of its positions only.
+    if np.any(global_to_local[local_to_global] != np.arange(n_local)):
+        raise ValueError("duplicate vertex id in vertex_set")
 
     # Gather the selected rows back to back, then keep each induced edge once,
     # from its lower local end (a neighbor outside the set maps to -1).
@@ -276,34 +268,16 @@ def extract_subgraph(graph: Graph, vertex_set: Sequence[int]) -> tuple[Graph, np
     return build_graph(edges, n_local, graph.vertex_weights[local_to_global]), local_to_global
 
 
-def _check_partition(graph: Graph, partition: Partition) -> None:
+def edge_cut(graph: Graph, partition: Partition) -> int:
+    """Total weight of edges whose endpoints lie in different parts (each edge once)."""
     if len(partition.parts) != graph.num_vertices:
         raise ValueError(
             f"partition length {len(partition.parts)} != num_vertices {graph.num_vertices}"
         )
-
-
-def edge_cut(graph: Graph, partition: Partition) -> int:
-    """Total weight of edges whose endpoints lie in different parts (each edge once)."""
-    _check_partition(graph, partition)
     src = np.repeat(np.arange(graph.num_vertices), np.diff(graph.adjacency_offsets))
     cut_mask = partition.parts[src] != partition.parts[graph.adjacency_list]
     # Symmetric storage counts every cut edge twice with equal weight.
     return int(graph.edge_weights[cut_mask].sum()) // 2
-
-
-def per_rank_metrics(graph: Graph, partition: Partition) -> list[PartMetrics]:
-    """Per-part vertex counts and boundary-edge tallies.
-
-    A cut edge is tallied once for each of its two incident parts, so the
-    tallies sum to twice the number of cut edges.
-    """
-    _check_partition(graph, partition)
-    sizes = partition.part_sizes()
-    src = np.repeat(np.arange(graph.num_vertices), np.diff(graph.adjacency_offsets))
-    cut_mask = partition.parts[src] != partition.parts[graph.adjacency_list]
-    boundary = np.bincount(partition.parts[src[cut_mask]], minlength=partition.num_parts)
-    return [PartMetrics(int(s), int(b)) for s, b in zip(sizes, boundary)]
 
 
 def balance_stats(sizes: Sequence[int]) -> BalanceStats:

@@ -194,15 +194,26 @@ def _side_nodes(mesh: Mesh, sides: np.ndarray) -> np.ndarray:
     return np.column_stack(_sorted_columns(mesh.element_nodes[elems[:, None], local[which]]))
 
 
+def _element_pairs(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The two elements of every side pair :func:`_shared_sides` matches, in its order.
+
+    Two elements that share more than one side (a folded mesh) are refused as
+    :func:`build_graph` refuses a repeated edge, naming the first repeat.
+    """
+    elem_a, elem_b = _shared_sides(mesh)
+    per_elem = len(_local_sides(mesh))
+    elem_a //= per_elem
+    elem_b //= per_elem
+    graph._check_edges(elem_a, elem_b, np.ones_like(elem_a), mesh.num_elements)
+    return elem_a, elem_b
+
+
 def dual_graph(mesh: Mesh) -> Graph:
     """Element adjacency graph: an edge wherever two elements share a full side.
 
-    Sides are matched as in :func:`_shared_sides`. All weights are 1.
+    Edges are the pairs of :func:`_element_pairs`. All weights are 1.
     """
-    side_a, side_b = _shared_sides(mesh)
-    per_elem = len(_local_sides(mesh))
-    elem_a, elem_b = side_a // per_elem, side_b // per_elem
-    del side_a, side_b
+    elem_a, elem_b = _element_pairs(mesh)
     # Column-major (m, 3), so build_graph takes its columns as views.
     edges = np.array([elem_a, elem_b, np.ones_like(elem_a)]).T
     del elem_a, elem_b

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in-process through main()."""
 
+import importlib
 import warnings
 
 import numpy as np
@@ -153,6 +154,46 @@ def test_report_length_mismatch_names_files(tmp_path, capsys):
     assert run("report", "--mesh", mesh, "--elem-part", epart, "--node-part", npart) == 2
     err = capsys.readouterr().err
     assert "p.txt" in err and "m.txt" in err
+
+
+def test_report_builds_no_graph(tmp_path, capsys, monkeypatch):
+    """report counts cuts on the mesh's element pairs, without the CSR dual graph."""
+    mesh, epart, npart = tmp_path / "m.txt", tmp_path / "p.txt", tmp_path / "n.txt"
+    run("gen-mesh", "--nx", 4, "--ny", 3, "--out", mesh)
+    epart.write_text("0\n1\n" * 6)  # columns alternate: 3 cuts in each of 3 rows
+    npart.write_text("0\n1\n" * 10)
+    called = []
+
+    def spy(name, original):
+        def recording(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+        return recording
+
+    for short in ("cli", "graph", "hierarchy", "kway", "mesh", "nodes"):
+        module = importlib.import_module(f"hierpart.{short}")
+        for name in ("build_graph", "dual_graph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    assert run("report", "--mesh", mesh, "--elem-part", epart, "--node-part", npart,
+               "--format", "csv") == 0
+    assert called == []
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "0,6,10,9,9,1.000000,1.000000",
+        "1,6,10,9,9,1.000000,1.000000",
+    ]
+
+
+def test_report_refuses_a_folded_mesh(tmp_path, capsys):
+    """Two quads that share all four sides: exit 2 with build_graph's message, no --out."""
+    mesh, epart, npart, out = (tmp_path / name for name in ("m.txt", "p.txt", "n.txt", "o.txt"))
+    mesh.write_text("2 4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n1 0 3 2\n")
+    epart.write_text("0\n1\n")
+    npart.write_text("0\n0\n1\n1\n")
+    assert run("report", "--mesh", mesh, "--elem-part", epart, "--node-part", npart,
+               "--out", out) == 2
+    assert capsys.readouterr().err == "error: duplicate edge (0, 1)\n"
+    assert not out.exists()
 
 
 def test_compare_single_part_rows_agree(tmp_path, capsys):

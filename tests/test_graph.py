@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INLINE_BREAKS, _read_lines, random_graph, random_partition
+from conftest import INLINE_BREAKS, _read_lines, random_graph
 from hierpart import graph as graph_module
 from hierpart import (
     FileFormatError,
@@ -17,7 +17,6 @@ from hierpart import (
     build_graph,
     edge_cut,
     extract_subgraph,
-    per_rank_metrics,
     read_graph,
     read_mesh,
     read_partition,
@@ -145,19 +144,6 @@ def test_edge_cut_uses_weights():
 def test_edge_cut_length_mismatch(path4):
     with pytest.raises(ValueError, match="length"):
         edge_cut(path4, Partition([0, 1], 2))
-
-
-def test_per_rank_metrics(path4):
-    m = per_rank_metrics(path4, Partition([0, 0, 1, 1], 2))
-    assert [x.vertex_count for x in m] == [2, 2]
-    # the single cut edge is tallied once per incident part
-    assert [x.boundary_edge_count for x in m] == [1, 1]
-
-
-def test_per_rank_metrics_counts_edges_not_weights():
-    g = build_graph([(0, 1, 9)], 2)
-    m = per_rank_metrics(g, Partition([0, 1], 2))
-    assert [x.boundary_edge_count for x in m] == [1, 1]
 
 
 def test_balance_stats():
@@ -374,17 +360,3 @@ def test_random_graphs_validate_and_round_trip(seed):
     sub, back = extract_subgraph(g, range(nv))
     assert np.array_equal(sub.adjacency_list, g.adjacency_list)
     assert np.array_equal(back, np.arange(nv))
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_per_rank_boundary_sums_to_twice_cut_edges(seed):
-    rng = random.Random(seed)
-    g, edges, nv = random_graph(rng, 10, max_weight=1)
-    if nv == 0:
-        return
-    part = random_partition(rng, nv, rng.randint(1, 4))
-    metrics = per_rank_metrics(g, part)
-    cut_edges = sum(1 for u, v, _ in edges if part.parts[u] != part.parts[v])
-    assert sum(m.boundary_edge_count for m in metrics) == 2 * cut_edges
-    assert sum(m.vertex_count for m in metrics) == nv

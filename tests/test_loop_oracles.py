@@ -1606,8 +1606,8 @@ class TestMainOnFuzzedFiles:
         Id files hold as many ids as the mesh they go with, when it reads, so
         that only a line of some file can be at fault; they are decodable.
         ``report`` is left out on a folded mesh (two elements that share
-        several sides): its dual graph is refused as a duplicate edge, which
-        exits 2 and names no file.
+        several sides): its element pairs are refused as a duplicate edge,
+        which exits 2 and names no file.
         """
         rng = random.Random(seed)
         with tempfile.TemporaryDirectory() as tmp:
@@ -1674,3 +1674,60 @@ class TestMainOnFuzzedFiles:
             else:
                 assert status == (3 if np_ > read.num_vertices else 0), (argv, stderr.getvalue())
                 assert os.path.exists(out) == (status == 0)
+
+
+def _loop_cut_tallies(g, parts, num_ranks):
+    """Per-rank counts of graph ``g``'s cut edges, each counted at both ends,
+    and the number of cut edges."""
+    tallies = [0] * num_ranks
+    for v in range(g.num_vertices):
+        for u in _neighbors(g, v).tolist():
+            if v < u and parts[v] != parts[u]:
+                tallies[parts[v]] += 1
+                tallies[parts[u]] += 1
+    return tallies, sum(tallies) // 2
+
+
+class TestReportCuts:
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=80, deadline=None)
+    def test_report_cuts_match_loop_dual(self, seed):
+        """``report --format csv``'s ``edge_cuts`` and ``global_edge_cut`` equal
+        tallies of the loop dual graph's cut edges, with element parts that
+        leave ids unused and ownership files that may name more ranks. A folded
+        mesh exits 2 with the loop's own message."""
+        rng = random.Random(seed)
+        mesh = _random_mesh(rng)
+        if not mesh.num_elements or _first_unused_node(mesh) is not None:
+            return  # read_mesh or read_partition refuses it
+        # An id file's ids may not exceed its length.
+        parts, owner = (
+            [rng.randrange(min(rng.randint(1, 6), n + 1)) for _ in range(n)]
+            for n in (mesh.num_elements, mesh.num_nodes)
+        )
+        num_ranks = max(parts + owner) + 1
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("m.txt", "p.txt", "n.txt", "o.txt")]
+            write_mesh(mesh, paths[0])
+            for path, ids in zip(paths[1:3], (parts, owner)):
+                with open(path, "w") as fh:
+                    fh.write("".join(f"{i}\n" for i in ids))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # empty ranks make the ratios infinite
+                status = main(["report", "--mesh", paths[0], "--elem-part", paths[1],
+                               "--node-part", paths[2], "--format", "csv", "--out", paths[3]])
+            dual = _outcome(_loop_dual_graph, mesh)
+            if isinstance(dual, tuple):  # it raised: a folded mesh's repeated pair
+                assert (status, stderr.getvalue()) == (2, f"error: {dual[1]}\n")
+                assert not os.path.exists(paths[3])
+                return
+            assert status == 0, stderr.getvalue()
+            with open(paths[3]) as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        tallies, cut = _loop_cut_tallies(dual, parts, num_ranks)
+        assert [row[:4] for row in rows] == [
+            [str(pid), str(parts.count(pid)), str(owner.count(pid)), str(tallies[pid])]
+            for pid in range(num_ranks)
+        ]
+        assert {row[4] for row in rows} == {str(cut)}
