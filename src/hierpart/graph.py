@@ -201,6 +201,14 @@ def build_graph(
     return Graph(offsets, neighbors, w.take(order, mode="wrap"), vwgt)
 
 
+def _sort_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-D ``keys``, ascending; ``keys`` is sorted in place."""
+    keys.sort()
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def _exact_sum(values: np.ndarray) -> int:
     """The sum of non-negative int64 values, exact: halves are summed apart."""
     return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
@@ -333,9 +341,9 @@ def write_graph(graph: Graph, path: str) -> None:
 
 def read_graph(path: str) -> Graph:
     """Read a graph file (format above) a block of lines at a time, as
-    :func:`read_mesh` does. Memory holds one block of lines plus a key
-    ``v * nv + u`` for each neighbor ``u`` listed on the line of vertex ``v``,
-    which fits int64 on any file :func:`build_graph` accepts."""
+    :func:`read_mesh` does. Memory holds one chunk and one block of lines plus
+    a key ``v * nv + u`` for each neighbor ``u`` listed on the line of vertex
+    ``v``, which fits int64 on any file :func:`build_graph` accepts."""
     with _open_rereadable(path) as fh:
         num_lines, (nv, ne) = _read_header(path, fh, "graph", "num_vertices num_edges")
         if nv < 0 or ne < 0:
@@ -343,7 +351,7 @@ def read_graph(path: str) -> Graph:
         if num_lines < nv + 1:
             raise FileFormatError(path, num_lines, f"expected {nv} adjacency lines")
         listed, first = [np.empty(0, dtype=np.int64)], 0
-        for block in _line_blocks(fh, nv):
+        for block in _line_blocks(_split_lines(fh), nv):
             counts = [len(line.split()) for line in block]
             sources = np.repeat(np.arange(first, first + len(block)), counts)
             ids = _loadtxt_rows(" ".join(block).split(), np.int64, 1, nv + 1)
@@ -395,7 +403,7 @@ def _loadtxt_rows(lines: list[str], dtype, width: int, bound: int | None = None)
     accept (``1_0``) and skips blank lines. A None sends the caller to its line
     walker, which converts with ``int``/``float`` and names the first bad line.
     """
-    if not all(map(str.isascii, lines)):
+    if not "".join(lines).isascii():
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # "input contained no data", deprecations
@@ -418,13 +426,10 @@ def _open_rereadable(path: str):
 
 
 def _count_lines(fh) -> int:
-    """The number of lines in text file ``fh``, counted as iterating over the
-    file splits them; ``fh`` is read in bounded chunks and left at its start.
-
-    The whole file is decoded here, before any line is parsed; a decode error
-    is raised as one read of the whole file raises it, at its byte position in
-    the file.
-    """
+    """The number of lines in text file ``fh``, as iterating over it splits them;
+    ``fh`` is read in chunks and left at its start. The whole file is decoded
+    here, before any line is parsed, and a decode error is raised as one read
+    of the whole file raises it, at its byte position in the file."""
     count, last = 0, "\n"
     try:
         while chunk := fh.read(64 * _BLOCK_ROWS):  # about 64 characters a line
@@ -438,9 +443,23 @@ def _count_lines(fh) -> int:
     return count + (last != "\n")
 
 
+def _split_lines(fh) -> Iterator[str]:
+    """The lines of text file ``fh`` from its position on, without their ``"\\n"``:
+    chunks as :func:`_count_lines` reads them, split at the ``"\\n"`` of text mode."""
+    def chunks():
+        tail = ""
+        while chunk := fh.read(64 * _BLOCK_ROWS):
+            chunk = (tail + chunk).split("\n")  # the text is freed once split
+            tail = chunk.pop()
+            yield chunk
+        yield [tail] if tail else []
+
+    return itertools.chain.from_iterable(chunks())
+
+
 def _line_blocks(lines: Iterable[str], count: int) -> Iterator[list[str]]:
-    """The next ``count`` items of ``lines`` (a file's lines, or a list), in lists of
-    at most ``_BLOCK_ROWS``."""
+    """The next ``count`` items of ``lines`` (from :func:`_split_lines`, or a list),
+    in lists of at most ``_BLOCK_ROWS``."""
     lines = iter(lines)
     for first in range(0, count, _BLOCK_ROWS):
         yield list(itertools.islice(lines, min(_BLOCK_ROWS, count - first)))
@@ -491,25 +510,24 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
     ids in error messages.
 
     The file is read a block of ``_BLOCK_ROWS`` lines at a time, after a
-    first pass that counts its lines, so memory holds one block plus the ids
-    returned. Each block's lines go through :func:`_loadtxt_rows` as they
-    are, which a file of one id per line passes at the cost of one read. Once
-    it refuses a block (a blank line makes it refuse one), later blocks are
-    only searched for blank lines, to count the ids, and the file is read
-    again: each block's stripped ids go through :func:`_loadtxt_rows`, and a
-    block it refuses then is walked line by line, to convert its ids with
-    ``int`` or name the first bad line.
+    first pass that counts its lines, so memory holds one chunk of text and
+    one block of lines plus the ids returned. Each block's lines go through
+    :func:`_loadtxt_rows` as they are, which a file of one id per line passes
+    at the cost of one read. Once it refuses a block (a blank line makes it
+    refuse one), later blocks are only searched for blank lines, to count the
+    ids, and the file is read again: each block's stripped ids go through
+    :func:`_loadtxt_rows`, and a block it refuses then is walked line by
+    line, to convert its ids with ``int`` or name the first bad line.
     """
     with _open_rereadable(path) as fh:
         num_lines = _count_lines(fh)
         ids = np.empty(num_lines, dtype=np.int64)
-        filled = blank = 0
-        refused = False
-        for block in _line_blocks(fh, num_lines):
+        filled, blank, refused = 0, 0, False
+        for block in _line_blocks(_split_lines(fh), num_lines):
             rows = None if refused else _loadtxt_rows(block, np.int64, 1, num_lines + 1)
             if rows is None:
                 refused = True
-                blank += sum(map(str.isspace, block))
+                blank += block.count("") + sum(map(str.isspace, block))
             else:
                 ids[filled:filled + len(block)] = rows.reshape(-1)
                 filled += len(block)
@@ -521,7 +539,7 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
         fh.seek(0)
         ids = np.empty(count, dtype=np.int64)
         lineno = filled = 0
-        for block in _line_blocks(fh, num_lines):
+        for block in _line_blocks(_split_lines(fh), num_lines):
             tokens = [token for token in map(str.strip, block) if token]
             rows = _loadtxt_rows(tokens, np.int64, 1, count + 1)
             if rows is None:

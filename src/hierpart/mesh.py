@@ -226,14 +226,17 @@ def _node_parts(mesh: Mesh, elem_partition: Partition) -> tuple[np.ndarray, np.n
     The parts touching node ``n`` (through its elements) are
     ``parts[offsets[n]:offsets[n + 1]]``, ascending and without repeats.
     Every node must belong to an element.
+    Memory holds a key and a flag per element corner plus the map: 1.3x the elements.
     """
     if len(elem_partition.parts) != mesh.num_elements:
         raise ValueError(
             f"partition length {len(elem_partition.parts)} != num_elements {mesh.num_elements}"
         )
     num_parts = elem_partition.num_parts
-    pairs = np.unique(mesh.element_nodes * num_parts + elem_partition.parts[:, None])
-    nodes, parts = np.divmod(pairs, num_parts)
+    keys = mesh.element_nodes * num_parts
+    keys += elem_partition.parts[:, None]
+    keys = graph._sort_unique(keys.ravel())
+    nodes, parts = np.divmod(keys, num_parts)
     counts = np.bincount(nodes, minlength=mesh.num_nodes)
     if not counts.all():
         raise ValueError(f"node {int(np.argmin(counts))} belongs to no element")
@@ -267,20 +270,18 @@ def write_mesh(mesh: Mesh, path: str) -> None:
         _write_rows(fh, mesh.element_nodes, "%d")
 
 
-# A block numpy's C reader refuses is walked line by line, to convert it or name its bad line.
-
-
 def _parse_rows(
     path: str, lines, first: int, out: np.ndarray, convert, what: str, bad: str,
     bound: int | None = None,
 ) -> None:
     """Fill the rows of ``out`` from the next ``len(out)`` of ``lines``.
 
-    ``lines`` iterates over a file (or a list of its lines) after its first
-    ``first`` lines, and is read a block of ``_BLOCK_ROWS`` lines at a time.
+    ``lines`` gives a file's lines (a list, or :func:`graph._split_lines`) after
+    its first ``first``, and is read a block of ``_BLOCK_ROWS`` lines at a time.
     Each line must hold ``out.shape[1]`` tokens (else "expected {width}
     {what}") that ``convert`` accepts (else ``bad``) and, when ``bound`` is
-    given, that lie in ``[0, bound)``.
+    given, that lie in ``[0, bound)``. A block numpy's C reader refuses is
+    walked line by line, to convert it or name its bad line.
     """
     width = out.shape[1]
     start = 0
@@ -310,7 +311,7 @@ def read_mesh(path: str) -> Mesh:
 
     A first pass counts the lines, so a header that claims more rows than the
     file holds is refused before any array is sized from it. Memory then
-    holds one block of lines plus the arrays returned.
+    holds one chunk of text and one block of lines plus the arrays returned.
     """
     with graph._open_rereadable(path) as fh:
         num_lines, (dim, nn, ne) = graph._read_header(path, fh, "mesh", "dim num_nodes num_elements")
@@ -323,10 +324,11 @@ def read_mesh(path: str) -> Mesh:
             message = f"expected {nn} coordinate and {ne} element lines"
             raise FileFormatError(path, num_lines, message)
 
+        lines = graph._split_lines(fh)  # one source for both sections
         coords = np.empty((nn, dim), dtype=np.float64)
-        _parse_rows(path, fh, 1, coords, float, "coordinates", "bad coordinate value")
+        _parse_rows(path, lines, 1, coords, float, "coordinates", "bad coordinate value")
         elems = np.empty((ne, 4 if dim == 2 else 8), dtype=np.int64)
-        _parse_rows(path, fh, 1 + nn, elems, int, "node ids", "bad node id", nn)
+        _parse_rows(path, lines, 1 + nn, elems, int, "node ids", "bad node id", nn)
     try:
         mesh = Mesh(dim, elems, coords)
     except ValueError as exc:

@@ -17,10 +17,12 @@ from hierpart import (
     build_graph,
     edge_cut,
     extract_subgraph,
+    generate_structured_quad,
     read_graph,
     read_mesh,
     read_partition,
     write_graph,
+    write_mesh,
     write_partition,
 )
 
@@ -202,19 +204,70 @@ def test_read_lines_splits_as_file_iteration(tmp_path, text, lines):
         assert [line.removesuffix("\n") for line in fh] == lines
 
 
+# At 1 row a block, the readers read 64 characters at a time: the "\r\n" after
+# the 63 x's straddles two reads.
+_LINE_TEXTS = [
+    "",
+    "\n",
+    "a",
+    "a\n\n",
+    "a\r\nb\rc\n",
+    "x" * 63 + "\r\n" + "y" * 64 + "\r",
+    "z\n" * 200,
+    pytest.param("".join(f"{i}{c}{i}\n" for i, c in enumerate(INLINE_BREAKS * 9)), id="inline"),
+    pytest.param("0\n\n \n\t\x0c\n\r\n" * 30 + "  ", id="blank-and-whitespace-lines"),
+]
+
+
 @pytest.mark.parametrize("block_rows", [1, 4096])
-@pytest.mark.parametrize(
-    "text",
-    ["", "\n", "a", "a\n\n", "a\r\nb\rc\n", "x" * 63 + "\r\n" + "y" * 64 + "\r", "z\n" * 200],
-)
+@pytest.mark.parametrize("text", _LINE_TEXTS)
 def test_count_lines_counts_what_read_lines_splits(tmp_path, monkeypatch, text, block_rows):
-    # At 1 row a block, the count reads 64 characters at a time: one "\r\n" straddles two reads.
     monkeypatch.setattr(graph_module, "_BLOCK_ROWS", block_rows)
     path = tmp_path / "t.txt"
     path.write_bytes(text.encode())
     with open(path) as fh:
         assert graph_module._count_lines(fh) == len(_read_lines(str(path)))
         assert fh.read() == text.replace("\r\n", "\n").replace("\r", "\n")  # back at the start
+
+
+@pytest.mark.parametrize("block_rows", [1, 4096])
+@pytest.mark.parametrize("text", _LINE_TEXTS)
+def test_split_lines_gives_what_read_lines_splits(tmp_path, monkeypatch, text, block_rows):
+    monkeypatch.setattr(graph_module, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    lines = _read_lines(str(path))
+    with open(path) as fh:
+        assert list(graph_module._split_lines(fh)) == lines
+        fh.seek(0)
+        fh.readline()  # as the readers do after their header
+        assert list(graph_module._split_lines(fh)) == lines[1:]
+
+
+@pytest.mark.parametrize("block_rows", [1, 4096])
+def test_read_mesh_sections_meet_inside_a_chunk(tmp_path, monkeypatch, block_rows):
+    # The element section starts on the line after the last coordinate, mid-chunk.
+    monkeypatch.setattr(graph_module, "_BLOCK_ROWS", block_rows)
+    mesh = generate_structured_quad(7, 5)
+    path = tmp_path / "m.txt"
+    write_mesh(mesh, str(path))
+    text = path.read_text()
+    coords_end = len("".join(text.splitlines(keepends=True)[:1 + mesh.num_nodes]))
+    assert coords_end % (64 * block_rows) and coords_end < len(text)
+    again = read_mesh(str(path))
+    assert again.element_nodes.tobytes() == mesh.element_nodes.tobytes()
+    assert again.node_coords.tobytes() == mesh.node_coords.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 4096])
+def test_read_partition_skips_empty_lines(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(graph_module, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"\n1\n\n\n0\r\n\r\n 2 \n" * 40 + b"\n")
+    assert read_partition(str(path)).parts.tolist() == [1, 0, 2] * 40
+    path.write_bytes(b"\n" * 200 + b"\r\n \r")  # empty lines only: no id at all
+    with pytest.raises(FileFormatError, match=r"p\.txt:1: empty partition file"):
+        read_partition(str(path))
 
 
 @pytest.mark.parametrize("reader", [read_partition, read_mesh, read_graph])

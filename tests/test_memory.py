@@ -1,11 +1,12 @@
 """Memory bounds of the mesh and graph input paths, measured with tracemalloc.
 
-Readers hold one block of lines plus the arrays they return (and, for a
-graph, a key per neighbor listing), side matching holds packed keys instead
-of sorted copies of every side, and the interface strategy matches only the
+Readers hold one chunk of text and one block of lines plus the arrays they
+return (and, for a graph, a key per neighbor listing), side matching holds
+packed keys instead of sorted copies of every side, the node-to-parts map
+sorts its corner keys in place, and the interface strategy matches only the
 sides of elements on a multi-rank node. Each bound is a stated multiple of
-what the call returns (or, for the interface strategy, a fixed size) that the
-whole-file readers and the sort of every side exceeded.
+what the call returns or reads (or, for the interface strategy, a fixed size)
+that the whole-file readers, ``np.unique`` and the sort of every side exceeded.
 """
 
 import tracemalloc
@@ -26,6 +27,7 @@ from hierpart import (
     write_mesh,
     write_partition,
 )
+from hierpart.mesh import _node_parts
 
 
 def _peak(fn, *args):
@@ -77,6 +79,15 @@ def test_dual_graph_holds_little_beyond_its_graph(hex40):
     # Sorting a copy of every face peaked at 6.1x the graph's arrays.
     graph, peak = _peak(dual_graph, hex40)
     assert peak <= 3 * _array_bytes(graph), peak
+
+
+def test_node_parts_holds_little_beyond_the_element_array(hex40):
+    # 16 blocks of 10x20x20; np.unique of the packed corner keys peaked at 2.15x.
+    e = np.arange(hex40.num_elements)
+    x, y, z = e % 40, e // 40 % 40, e // 1600
+    partition = Partition(x // 10 + 4 * (y // 20) + 8 * (z // 20), 16)
+    _, peak = _peak(_node_parts, hex40, partition)
+    assert peak <= 1.5 * hex40.element_nodes.nbytes, peak
 
 
 def test_interface_strategy_matches_only_sides_near_an_interface():
