@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[args.command].run(args)
     except (OSError, InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (FileFormatError, OSError)):
+        if isinstance(exc, (FileFormatError, OSError, UnicodeDecodeError)):
             return 4
         return 3 if isinstance(exc, InfeasibleError) else 2
     return 0

@@ -341,9 +341,9 @@ def write_graph(graph: Graph, path: str) -> None:
 
 def read_graph(path: str) -> Graph:
     """Read a graph file (format above) a block of lines at a time, as
-    :func:`read_mesh` does. Memory holds one chunk and one block of lines plus
-    a key ``v * nv + u`` for each neighbor ``u`` listed on the line of vertex
-    ``v``, which fits int64 on any file :func:`build_graph` accepts."""
+    :func:`read_mesh` does. Memory holds one block of lines plus a key
+    ``v * nv + u`` for each neighbor ``u`` listed on the line of vertex ``v``,
+    which fits int64 on any file :func:`build_graph` accepts."""
     with _open_rereadable(path) as fh:
         num_lines, (nv, ne) = _read_header(path, fh, "graph", "num_vertices num_edges")
         if nv < 0 or ne < 0:
@@ -351,7 +351,7 @@ def read_graph(path: str) -> Graph:
         if num_lines < nv + 1:
             raise FileFormatError(path, num_lines, f"expected {nv} adjacency lines")
         listed, first = [np.empty(0, dtype=np.int64)], 0
-        for block in _line_blocks(_split_lines(fh), nv):
+        for block in _line_blocks(fh, nv):
             counts = [len(line.split()) for line in block]
             sources = np.repeat(np.arange(first, first + len(block)), counts)
             ids = _loadtxt_rows(" ".join(block).split(), np.int64, 1, nv + 1)
@@ -443,23 +443,9 @@ def _count_lines(fh) -> int:
     return count + (last != "\n")
 
 
-def _split_lines(fh) -> Iterator[str]:
-    """The lines of text file ``fh`` from its position on, without their ``"\\n"``:
-    chunks as :func:`_count_lines` reads them, split at the ``"\\n"`` of text mode."""
-    def chunks():
-        tail = ""
-        while chunk := fh.read(64 * _BLOCK_ROWS):
-            chunk = (tail + chunk).split("\n")  # the text is freed once split
-            tail = chunk.pop()
-            yield chunk
-        yield [tail] if tail else []
-
-    return itertools.chain.from_iterable(chunks())
-
-
 def _line_blocks(lines: Iterable[str], count: int) -> Iterator[list[str]]:
-    """The next ``count`` items of ``lines`` (from :func:`_split_lines`, or a list),
-    in lists of at most ``_BLOCK_ROWS``."""
+    """The next ``count`` items of ``lines`` (an open text file, or a list of its
+    lines), in lists of at most ``_BLOCK_ROWS``."""
     lines = iter(lines)
     for first in range(0, count, _BLOCK_ROWS):
         yield list(itertools.islice(lines, min(_BLOCK_ROWS, count - first)))
@@ -510,8 +496,8 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
     ids in error messages.
 
     The file is read a block of ``_BLOCK_ROWS`` lines at a time, after a
-    first pass that counts its lines, so memory holds one chunk of text and
-    one block of lines plus the ids returned. Each block's lines go through
+    first pass that counts its lines, so memory holds one block of lines
+    plus the ids returned. Each block's lines go through
     :func:`_loadtxt_rows` as they are, which a file of one id per line passes
     at the cost of one read. Once it refuses a block (a blank line makes it
     refuse one), later blocks are only searched for blank lines, to count the
@@ -523,11 +509,11 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
         num_lines = _count_lines(fh)
         ids = np.empty(num_lines, dtype=np.int64)
         filled, blank, refused = 0, 0, False
-        for block in _line_blocks(_split_lines(fh), num_lines):
+        for block in _line_blocks(fh, num_lines):
             rows = None if refused else _loadtxt_rows(block, np.int64, 1, num_lines + 1)
             if rows is None:
                 refused = True
-                blank += block.count("") + sum(map(str.isspace, block))
+                blank += sum(map(str.isspace, block))
             else:
                 ids[filled:filled + len(block)] = rows.reshape(-1)
                 filled += len(block)
@@ -539,7 +525,7 @@ def _read_ids(path: str, kind: str, what: str) -> np.ndarray:
         fh.seek(0)
         ids = np.empty(count, dtype=np.int64)
         lineno = filled = 0
-        for block in _line_blocks(_split_lines(fh), num_lines):
+        for block in _line_blocks(fh, num_lines):
             tokens = [token for token in map(str.strip, block) if token]
             rows = _loadtxt_rows(tokens, np.int64, 1, count + 1)
             if rows is None:

@@ -276,8 +276,8 @@ def _parse_rows(
 ) -> None:
     """Fill the rows of ``out`` from the next ``len(out)`` of ``lines``.
 
-    ``lines`` gives a file's lines (a list, or :func:`graph._split_lines`) after
-    its first ``first``, and is read a block of ``_BLOCK_ROWS`` lines at a time.
+    ``lines`` is an open text file (or a list of its lines) after its first
+    ``first`` lines, and is read a block of ``_BLOCK_ROWS`` lines at a time.
     Each line must hold ``out.shape[1]`` tokens (else "expected {width}
     {what}") that ``convert`` accepts (else ``bad``) and, when ``bound`` is
     given, that lie in ``[0, bound)``. A block numpy's C reader refuses is
@@ -310,8 +310,10 @@ def read_mesh(path: str) -> Mesh:
     """Read a mesh file (format above), a block of lines at a time.
 
     A first pass counts the lines, so a header that claims more rows than the
-    file holds is refused before any array is sized from it. Memory then
-    holds one chunk of text and one block of lines plus the arrays returned.
+    file holds is refused before any array is sized from it. Both sections
+    are then read from the open file, the elements from the position where
+    the coordinates end, so memory holds one block of lines plus the arrays
+    returned.
     """
     with graph._open_rereadable(path) as fh:
         num_lines, (dim, nn, ne) = graph._read_header(path, fh, "mesh", "dim num_nodes num_elements")
@@ -324,11 +326,10 @@ def read_mesh(path: str) -> Mesh:
             message = f"expected {nn} coordinate and {ne} element lines"
             raise FileFormatError(path, num_lines, message)
 
-        lines = graph._split_lines(fh)  # one source for both sections
         coords = np.empty((nn, dim), dtype=np.float64)
-        _parse_rows(path, lines, 1, coords, float, "coordinates", "bad coordinate value")
+        _parse_rows(path, fh, 1, coords, float, "coordinates", "bad coordinate value")
         elems = np.empty((ne, 4 if dim == 2 else 8), dtype=np.int64)
-        _parse_rows(path, lines, 1 + nn, elems, int, "node ids", "bad node id", nn)
+        _parse_rows(path, fh, 1 + nn, elems, int, "node ids", "bad node id", nn)
     try:
         mesh = Mesh(dim, elems, coords)
     except ValueError as exc:

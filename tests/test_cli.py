@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process through main()."""
 
 import importlib
+import re
 import warnings
 
 import numpy as np
@@ -456,6 +457,29 @@ class TestExitCodes:
             assert shown == []
             assert capsys.readouterr().err == f"error: {tmp_path / bad_file}:{message}\n"
             assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command, bad_file", [("assign-nodes", "m.txt"), ("report", "n.txt"), ("partition", "g.txt")]
+    )
+    def test_undecodable_byte_is_4_with_one_error_line(self, tmp_path, capsys, command, bad_file):
+        mesh, out = tmp_path / "m.txt", tmp_path / "o.txt"
+        run("gen-mesh", "--nx", 2, "--ny", 1, "--out", mesh)
+        (tmp_path / "p.txt").write_text("0\n1\n")
+        (tmp_path / "n.txt").write_text("0\n" * 6)
+        (tmp_path / "g.txt").write_text("2 1\n2\n1\n")
+        bad = tmp_path / bad_file
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\xff\n", 1))
+        files = {
+            "assign-nodes": ["--mesh", mesh, "--elem-part", tmp_path / "p.txt"],
+            "report": ["--mesh", mesh, "--elem-part", tmp_path / "p.txt", "--node-part", bad],
+            "partition": ["--graph", bad, "--np", 2],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *files, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert re.match(r"error: '[-\w]+' codec can't decode byte 0xff in position \d+: ", err), err
+        assert not out.exists()
 
 
 def test_graph_input_matches_mesh_dual(tmp_path):

@@ -204,8 +204,8 @@ def test_read_lines_splits_as_file_iteration(tmp_path, text, lines):
         assert [line.removesuffix("\n") for line in fh] == lines
 
 
-# At 1 row a block, the readers read 64 characters at a time: the "\r\n" after
-# the 63 x's straddles two reads.
+# At 1 row a block, _count_lines reads 64 characters at a time: the "\r\n"
+# after the 63 x's straddles two reads.
 _LINE_TEXTS = [
     "",
     "\n",
@@ -230,30 +230,15 @@ def test_count_lines_counts_what_read_lines_splits(tmp_path, monkeypatch, text, 
         assert fh.read() == text.replace("\r\n", "\n").replace("\r", "\n")  # back at the start
 
 
-@pytest.mark.parametrize("block_rows", [1, 4096])
-@pytest.mark.parametrize("text", _LINE_TEXTS)
-def test_split_lines_gives_what_read_lines_splits(tmp_path, monkeypatch, text, block_rows):
-    monkeypatch.setattr(graph_module, "_BLOCK_ROWS", block_rows)
-    path = tmp_path / "t.txt"
-    path.write_bytes(text.encode())
-    lines = _read_lines(str(path))
-    with open(path) as fh:
-        assert list(graph_module._split_lines(fh)) == lines
-        fh.seek(0)
-        fh.readline()  # as the readers do after their header
-        assert list(graph_module._split_lines(fh)) == lines[1:]
-
-
-@pytest.mark.parametrize("block_rows", [1, 4096])
-def test_read_mesh_sections_meet_inside_a_chunk(tmp_path, monkeypatch, block_rows):
-    # The element section starts on the line after the last coordinate, mid-chunk.
+@pytest.mark.parametrize("block_rows", [5, 4096])
+def test_read_mesh_sections_meet_inside_a_block(tmp_path, monkeypatch, block_rows):
+    # The last block of coordinates is short, and the element section reads on
+    # from the same open file, starting on the line after the last coordinate.
     monkeypatch.setattr(graph_module, "_BLOCK_ROWS", block_rows)
     mesh = generate_structured_quad(7, 5)
     path = tmp_path / "m.txt"
     write_mesh(mesh, str(path))
-    text = path.read_text()
-    coords_end = len("".join(text.splitlines(keepends=True)[:1 + mesh.num_nodes]))
-    assert coords_end % (64 * block_rows) and coords_end < len(text)
+    assert mesh.num_nodes % block_rows
     again = read_mesh(str(path))
     assert again.element_nodes.tobytes() == mesh.element_nodes.tobytes()
     assert again.node_coords.tobytes() == mesh.node_coords.tobytes()

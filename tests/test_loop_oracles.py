@@ -1489,56 +1489,6 @@ class TestMeshLayerInSmallBlocks(_InSmallBlocks, TestMeshLayer):
     """Side matching builds its keys and compares sorted sides in blocks too."""
 
 
-class _ChunkReads:
-    """A text file that records the sizes ``read`` is called with and cannot
-    be iterated over, so every line a reader sees comes from its chunks."""
-
-    def __init__(self, fh):
-        self.fh, self.sizes = fh, []
-
-    def read(self, size=-1):
-        self.sizes.append(size)
-        return self.fh.read(size)
-
-    def __iter__(self):
-        raise AssertionError("a reader iterated over its file")
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-
-@pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
-def test_small_blocks_split_small_chunks(tmp_path, block_rows):
-    # The classes above shrink the chunks that graph._split_lines splits
-    # along with the blocks: every read is 64 * _BLOCK_ROWS characters.
-    mesh = generate_structured_quad(6, 5)
-    paths = [str(tmp_path / name) for name in ("m.txt", "g.txt", "p.txt")]
-    write_mesh(mesh, paths[0])
-    write_graph(dual_graph(mesh), paths[1])
-    with open(paths[2], "w") as fh:
-        fh.write("1\n\n0\n" * 30)  # a blank line sends _read_ids to its second pass
-    opened = []
-
-    def rereadable(path):
-        opened.append(_ChunkReads(open(path)))
-        return opened[-1]
-
-    with mock.patch.object(graph_module, "_BLOCK_ROWS", block_rows), \
-            mock.patch.object(graph_module, "_open_rereadable", rereadable):
-        got = read_mesh(paths[0]), read_graph(paths[1]), read_partition(paths[2])
-    assert got[0].element_nodes.tobytes() == mesh.element_nodes.tobytes()
-    assert got[1].adjacency_list.tobytes() == dual_graph(mesh).adjacency_list.tobytes()
-    assert got[2].parts.tolist() == [1, 0] * 30
-    assert len(opened) == 3
-    assert {size for fh in opened for size in fh.sizes} == {64 * block_rows}
-
-
 class TestCReader:
     """numpy's C reader (``graph._loadtxt_rows``) against the line walker it
     falls back to: the same bytes, NaN signs and -0.0 included, or the same

@@ -1,12 +1,13 @@
 """Memory bounds of the mesh and graph input paths, measured with tracemalloc.
 
-Readers hold one chunk of text and one block of lines plus the arrays they
-return (and, for a graph, a key per neighbor listing), side matching holds
-packed keys instead of sorted copies of every side, the node-to-parts map
-sorts its corner keys in place, and the interface strategy matches only the
-sides of elements on a multi-rank node. Each bound is a stated multiple of
-what the call returns or reads (or, for the interface strategy, a fixed size)
-that the whole-file readers, ``np.unique`` and the sort of every side exceeded.
+Readers hold one block of lines plus the arrays they return (and, for a
+graph, a key per neighbor listing), side matching holds packed keys instead
+of sorted copies of every side, the node-to-parts map sorts its corner keys
+in place, and the interface strategy matches only the sides of elements on a
+multi-rank node. Each bound is a stated multiple of what the call returns or
+reads (or, for the interface strategy, a fixed size) that the whole-file
+readers, the chunk line splitter, ``np.unique`` and the sort of every side
+exceeded.
 """
 
 import tracemalloc
@@ -51,19 +52,30 @@ def hex40():
 
 
 def test_read_mesh_holds_little_beyond_its_arrays(hex40, tmp_path):
-    # 4.0 MB file, 5.5 MiB of arrays; reading the whole file at once peaked at 3.9x.
+    # 4.0 MB file, 5.5 MiB of arrays; reading the whole file at once peaked at
+    # 3.9x, and splitting lines from chunks of 262,144 characters at 1.41x.
     path = str(tmp_path / "m.txt")
     write_mesh(hex40, path)
     mesh, peak = _peak(read_mesh, path)
-    assert peak <= 1.5 * _array_bytes(mesh), peak
+    assert peak <= 1.3 * _array_bytes(mesh), peak
 
 
 def test_read_partition_holds_little_beyond_its_ids(hex40, tmp_path):
-    # 64,000 ids; reading the whole file at once peaked at 3.2x their bytes.
+    # 64,000 ids; reading the whole file at once peaked at 3.2x their bytes,
+    # and splitting lines from chunks of 262,144 characters at 2.36x.
     path = str(tmp_path / "p.txt")
     write_partition(Partition(np.arange(hex40.num_elements) % 7, 7), path)
     partition, peak = _peak(read_partition, path)
-    assert peak <= 2.5 * partition.parts.nbytes, peak
+    assert peak <= 2.2 * partition.parts.nbytes, peak
+
+
+def test_read_partition_of_many_short_ids_holds_one_block_of_lines(tmp_path):
+    # 640,000 ids of up to three digits: a chunk of 262,144 characters split
+    # into about 67,000 lines at once, and peaked at 2.04x the ids.
+    path = str(tmp_path / "p.txt")
+    write_partition(Partition(np.arange(640_000) % 1000, 1000), path)
+    partition, peak = _peak(read_partition, path)
+    assert peak <= 1.3 * partition.parts.nbytes, peak
 
 
 def test_read_graph_holds_little_beyond_its_arrays(hex40, tmp_path):
