@@ -230,6 +230,31 @@ def test_count_lines_counts_what_read_lines_splits(tmp_path, monkeypatch, text, 
         assert fh.read() == text.replace("\r\n", "\n").replace("\r", "\n")  # back at the start
 
 
+@pytest.mark.parametrize("block_rows", [1, 4096])
+@pytest.mark.parametrize("text", _LINE_TEXTS)
+def test_line_blocks_gives_what_read_lines_splits(tmp_path, monkeypatch, text, block_rows):
+    # The readers' one line source: their open file, iterated a block at a
+    # time, with a second call reading on where the first stopped.
+    monkeypatch.setattr(graph_module, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    lines = _read_lines(str(path))
+    with open(path) as fh:
+        blocks = list(graph_module._line_blocks(fh, graph_module._count_lines(fh)))
+        assert all(1 <= len(block) <= block_rows for block in blocks)
+        assert [line.removesuffix("\n") for block in blocks for line in block] == lines
+        fh.seek(0)
+        fh.readline()  # as the readers do after their header
+        rest = lines[1:]
+        got = [
+            line.removesuffix("\n")
+            for count in (len(rest) // 2, len(rest) - len(rest) // 2)
+            for block in graph_module._line_blocks(fh, count)
+            for line in block
+        ]
+        assert got == rest
+
+
 @pytest.mark.parametrize("block_rows", [5, 4096])
 def test_read_mesh_sections_meet_inside_a_block(tmp_path, monkeypatch, block_rows):
     # The last block of coordinates is short, and the element section reads on

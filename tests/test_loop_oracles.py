@@ -1489,6 +1489,37 @@ class TestMeshLayerInSmallBlocks(_InSmallBlocks, TestMeshLayer):
     """Side matching builds its keys and compares sorted sides in blocks too."""
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+def test_small_blocks_hold_one_block_of_lines(tmp_path, block_rows):
+    # The classes above shrink the blocks the readers hold: every reader takes
+    # its lines from its open file, at most _BLOCK_ROWS of them at a time.
+    mesh = generate_structured_quad(6, 5)
+    paths = [str(tmp_path / name) for name in ("m.txt", "g.txt", "p.txt")]
+    write_mesh(mesh, paths[0])
+    write_graph(dual_graph(mesh), paths[1])
+    with open(paths[2], "w") as fh:
+        fh.write("1\n\n0\n" * 30)  # a blank line sends _read_ids to its second pass
+    line_blocks, sources, sizes = graph_module._line_blocks, [], []
+
+    def recorded(lines, count):
+        sources.append(lines)
+        for block in line_blocks(lines, count):
+            sizes.append(len(block))
+            yield block
+
+    with mock.patch.object(graph_module, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(graph_module, "_line_blocks", recorded):
+        got = read_mesh(paths[0]), read_graph(paths[1]), read_partition(paths[2])
+    assert got[0].element_nodes.tobytes() == mesh.element_nodes.tobytes()
+    assert got[1].adjacency_list.tobytes() == dual_graph(mesh).adjacency_list.tobytes()
+    assert got[2].parts.tolist() == [1, 0] * 30
+    # Two mesh sections, one graph, two passes over the id file.
+    assert len(sources) == 5
+    assert all(isinstance(source, io.TextIOWrapper) for source in sources)
+    assert max(sizes) <= block_rows
+    assert sum(sizes) == mesh.num_nodes + mesh.num_elements + mesh.num_elements + 2 * 90
+
+
 class TestCReader:
     """numpy's C reader (``graph._loadtxt_rows``) against the line walker it
     falls back to: the same bytes, NaN signs and -0.0 included, or the same
