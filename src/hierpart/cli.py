@@ -217,7 +217,7 @@ def _report_rows(args: argparse.Namespace) -> tuple[list[tuple], int, float, flo
     ownership = NodeOwnership.from_owner(ownership.owner, num_ranks)
 
     # A cut element pair counts once for each of its two parts.
-    part_a, part_b = (partition.parts[elems] for elems in _element_pairs(mesh))
+    part_a, part_b = (partition.parts[e] for e in divmod(_element_pairs(mesh), mesh.num_elements))
     cut = part_a != part_b
     boundary = sum(np.bincount(parts[cut], minlength=num_ranks) for parts in (part_a, part_b))
     columns = (partition.part_sizes(), ownership.counts, boundary)

@@ -42,7 +42,7 @@ class Graph:
     vertex ``v`` occupy ``adjacency_list[offsets[v]:offsets[v+1]]`` with edge
     weights in the parallel ``edge_weights`` slice. Every undirected edge is
     stored once per direction with equal weight. Each graph hierpart makes
-    comes from :func:`build_graph`, so every adjacency run is ascending.
+    comes from one CSR step, :func:`build_graph`'s, so adjacency runs ascend.
     """
 
     adjacency_offsets: np.ndarray
@@ -180,25 +180,31 @@ def build_graph(
     if edges.ndim != 2 or edges.shape[1] != 3:
         raise ValueError("edges must be (u, v, weight) triples")
     u, v, w = np.ascontiguousarray(edges.T)  # contiguous columns compare faster
-    _check_edges(u, v, w, num_vertices)
+    return _csr(_check_edges(u, v, w, num_vertices), w, num_vertices, vwgt)
+
+
+def _csr(keys: np.ndarray, w: np.ndarray, n: int, vwgt: np.ndarray) -> Graph:
+    """The graph of distinct, in-range edge keys ``a * n + b`` (either orientation), weighted
+    ``w``: the one CSR step. It checks the weights as :func:`build_graph` does, not the keys."""
+    if n and vwgt.min() < 1:
+        raise ValueError("vertex weights must be >= 1")
+    if len(w) and w.min() < 1:
+        i = int(np.argmax(w < 1))
+        raise ValueError("edge (%d, %d) has non-positive weight %d" % (*divmod(keys[i], n), w[i]))
     if _exact_sum(vwgt) >= 2**63:
         raise ValueError("vertex weights must total less than 2**63")
     if _exact_sum(w) >= 2**62:
         raise ValueError("edge weights must total less than 2**62")
 
-    # Each edge is stored from both ends; sorting by the key source * n + neighbor
-    # makes every adjacency run ascending, so traversal order is canonical. The
-    # keys are unique, since repeats were refused, and the sorted ones give the
-    # neighbors; entry i of the order is edge i % m, so it picks the weights.
-    keys = np.concatenate([u * num_vertices + v, v * num_vertices + u])
+    # Each edge is stored from both ends; sorted, the keys source * n + neighbor give
+    # ascending adjacency runs (a canonical traversal order), their offsets and the
+    # neighbors. Entry i of the order is edge i % m, so it picks the weights.
+    keys = np.concatenate([keys, keys % n * n + keys // n])
     order = np.argsort(keys, kind="stable")
-    neighbors = keys[order]
-    del keys
-    neighbors %= num_vertices
-    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    degrees = np.bincount(u, minlength=num_vertices) + np.bincount(v, minlength=num_vertices)
-    np.cumsum(degrees, out=offsets[1:])
-    return Graph(offsets, neighbors, w.take(order, mode="wrap"), vwgt)
+    keys = keys[order]
+    offsets = np.searchsorted(keys, np.arange(n + 1) * n)
+    keys %= n
+    return Graph(offsets, keys, w.take(order, mode="wrap"), vwgt)
 
 
 def _sort_unique(keys: np.ndarray) -> np.ndarray:
@@ -214,8 +220,8 @@ def _exact_sum(values: np.ndarray) -> int:
     return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
 
 
-def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int) -> None:
-    """Raise for the first bad edge in input order.
+def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Raise for the first bad edge in input order, or return keys ``min * num_vertices + max``.
 
     Each edge is checked for a self-loop, then range, then weight, then for
     repeating an earlier edge in either orientation.
@@ -234,7 +240,7 @@ def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int)
     # out-of-range edge's key may equal another's, but it flags nothing sooner.
     i = min(first_bad, first_repeat)
     if i == m:
-        return
+        return keys
     a, b, c = int(u[i]), int(v[i]), int(w[i])
     if a == b:
         raise ValueError(f"self-loop at vertex {a}")
@@ -248,10 +254,10 @@ def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int)
 def extract_subgraph(graph: Graph, vertex_set: Sequence[int]) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on ``vertex_set``; local ids follow the given order.
 
-    Only the selected rows are read. The subgraph comes from
-    :func:`build_graph`, so each local adjacency run is ascending, and a
-    ``graph`` that is not simple raises there. Returns the subgraph and the
-    local-to-global id map.
+    Only the selected rows are read. The subgraph comes from :func:`build_graph`,
+    repeat check included, since ``graph`` may be built by hand: one that is not
+    simple raises there. Each local adjacency run is ascending. Returns the
+    subgraph and the local-to-global id map.
     """
     local_to_global = np.asarray(vertex_set, dtype=np.int64)
     n_local = len(local_to_global)
@@ -340,16 +346,18 @@ def write_graph(graph: Graph, path: str) -> None:
 
 
 def read_graph(path: str) -> Graph:
-    """Read a graph file (format above) a block of lines at a time, as
-    :func:`read_mesh` does. Memory holds one block of lines plus a key
-    ``v * nv + u`` for each neighbor ``u`` listed on the line of vertex ``v``,
-    which fits int64 on any file :func:`build_graph` accepts."""
+    """Read a graph file (format above) a block of lines at a time, as :func:`read_mesh`
+    does. Memory holds one block of lines plus a key ``v * nv + u`` for each neighbor
+    ``u`` listed on the line of vertex ``v`` (nv < 2**31 is checked first, so keys fit
+    int64). Checked for symmetry here, the keys skip a second check for repeats."""
     with _open_rereadable(path) as fh:
         num_lines, (nv, ne) = _read_header(path, fh, "graph", "num_vertices num_edges")
         if nv < 0 or ne < 0:
             raise FileFormatError(path, 1, f"counts must be >= 0, got {nv} vertices and {ne} edges")
         if num_lines < nv + 1:
             raise FileFormatError(path, num_lines, f"expected {nv} adjacency lines")
+        if nv >= 2**31:
+            raise ValueError("num_vertices must be less than 2**31")
         listed, first = [np.empty(0, dtype=np.int64)], 0
         for block in _line_blocks(fh, nv):
             counts = [len(line.split()) for line in block]
@@ -360,26 +368,23 @@ def read_graph(path: str) -> Graph:
                 neighbors = _walk_neighbors(path, block, first, nv)
             listed.append(sources * nv + neighbors)
             first += len(block)
-    # Every edge must be listed once from each end: sorted, the edges listed
-    # from their lower ends equal those listed from their higher ends.
-    src, dst = np.divmod(np.concatenate(listed), nv)
-    edges = np.minimum(src, dst) * nv + np.maximum(src, dst)
-    lower, upper = np.sort(edges[src < dst]), np.sort(edges[src > dst])
-    del listed, src, dst
+    # Every edge must be listed once from each end: sorted, the keys listed
+    # from their lower ends equal those listed from their higher ends, flipped.
+    listed = np.concatenate(listed)
+    down = listed // nv > listed % nv  # listed from the higher end
+    lower, upper = np.sort(listed[~down]), listed[down]
+    upper = np.sort(upper % nv * nv + upper // nv)
     if np.any(lower[1:] == lower[:-1]) or not np.array_equal(lower, upper):
         # Name the edge listed first of those not listed once from each end.
-        once = [
-            np.searchsorted(s, edges, "right") - np.searchsorted(s, edges) == 1 for s in (lower, upper)
-        ]
+        edges = np.where(down, listed % nv * nv + listed // nv, listed)
+        once = [np.searchsorted(s, edges, "right") - np.searchsorted(s, edges) == 1
+                for s in (lower, upper)]
         a, b = divmod(int(edges[np.argmin(once[0] & once[1])]), nv)
         raise FileFormatError(path, a + 2, f"edge ({a}, {b}) not listed symmetrically")
     if len(lower) != ne:
         raise FileFormatError(path, 1, f"header says {ne} edges, file lists {len(lower)}")
-    # Column-major (a, b, 1) triples, so build_graph takes its columns as views.
-    triples = np.ones((3, len(lower)), dtype=np.int64)
-    np.divmod(lower, nv, out=(triples[0], triples[1]))
-    del edges, lower, upper
-    return build_graph(triples.T, nv)
+    del listed, down, upper
+    return _csr(lower, np.ones_like(lower), nv, np.ones(nv, dtype=np.int64))
 
 
 def write_partition(partition: Partition, path: str) -> None:

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .errors import InfeasibleError
-from .graph import Graph, Partition, build_graph, edge_cut, extract_subgraph
+from .graph import Graph, Partition, _csr, edge_cut, extract_subgraph
 
 __all__ = [
     "TargetWeights",
@@ -181,7 +181,7 @@ def coarsen(g: Graph, mates: Sequence[int]) -> CoarseningLevel:
 
     # Weights sum exactly in int64 (bincount would sum in float64). Each
     # undirected fine edge contributes once (cu < cv); parallel edges between
-    # the same coarse pair merge by summing their weights.
+    # the same coarse pair merge by summing their weights, into distinct keys.
     coarse_vwgt = np.zeros(next_id, dtype=np.int64)
     np.add.at(coarse_vwgt, projection, g.vertex_weights)
     src = np.repeat(ids, np.diff(g.adjacency_offsets))
@@ -190,8 +190,7 @@ def coarsen(g: Graph, mates: Sequence[int]) -> CoarseningLevel:
     keys, inverse = np.unique(cu[forward] * next_id + cv[forward], return_inverse=True)
     merged = np.zeros(len(keys), dtype=np.int64)
     np.add.at(merged, inverse, g.edge_weights[forward])
-    edges = np.column_stack([keys // next_id, keys % next_id, merged])
-    return CoarseningLevel(build_graph(edges, next_id, coarse_vwgt), projection)
+    return CoarseningLevel(_csr(keys, merged, next_id, coarse_vwgt), projection)
 
 
 def _check_target_fraction(target_fraction: float) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import graph
 from .errors import FileFormatError
-from .graph import Graph, Partition, _loadtxt_rows, _write_rows, build_graph
+from .graph import Graph, Partition, _loadtxt_rows, _write_rows
 
 __all__ = [
     "Mesh",
@@ -194,8 +194,8 @@ def _side_nodes(mesh: Mesh, sides: np.ndarray) -> np.ndarray:
     return np.column_stack(_sorted_columns(mesh.element_nodes[elems[:, None], local[which]]))
 
 
-def _element_pairs(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """The two elements of every side pair :func:`_shared_sides` matches, in its order.
+def _element_pairs(mesh: Mesh) -> np.ndarray:
+    """The element pairs :func:`_shared_sides` matches, in order, as ``min * num_elements + max``.
 
     Two elements that share more than one side (a folded mesh) are refused as
     :func:`build_graph` refuses a repeated edge, naming the first repeat.
@@ -204,20 +204,16 @@ def _element_pairs(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     per_elem = len(_local_sides(mesh))
     elem_a //= per_elem
     elem_b //= per_elem
-    graph._check_edges(elem_a, elem_b, np.ones_like(elem_a), mesh.num_elements)
-    return elem_a, elem_b
+    return graph._check_edges(elem_a, elem_b, np.ones_like(elem_a), mesh.num_elements)
 
 
 def dual_graph(mesh: Mesh) -> Graph:
     """Element adjacency graph: an edge wherever two elements share a full side.
 
-    Edges are the pairs of :func:`_element_pairs`. All weights are 1.
+    Edges are the pairs of :func:`_element_pairs`, which checks them. All weights are 1.
     """
-    elem_a, elem_b = _element_pairs(mesh)
-    # Column-major (m, 3), so build_graph takes its columns as views.
-    edges = np.array([elem_a, elem_b, np.ones_like(elem_a)]).T
-    del elem_a, elem_b
-    return build_graph(edges, mesh.num_elements)
+    keys, n = _element_pairs(mesh), mesh.num_elements
+    return graph._csr(keys, np.ones_like(keys), n, np.ones(n, dtype=np.int64))
 
 
 def _node_parts(mesh: Mesh, elem_partition: Partition) -> tuple[np.ndarray, np.ndarray]:

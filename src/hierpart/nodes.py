@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Partition, _read_ids, _sort_unique, _write_ids, build_graph
+from .graph import Graph, Partition, _csr, _read_ids, _sort_unique, _write_ids
 from .kway import _cut_subgraphs, derive_seed, partition_kway
 from .mesh import Mesh, _local_sides, _node_parts, _pair_nodes, _shared_sides, _side_nodes
 
@@ -128,7 +128,7 @@ def _interface_graph(
     u, v = ends[:, first].ravel(), ends[:, second].ravel()
     # A node pair may lie on several sides; the key u * n + v keeps it once.
     keys = _sort_unique((u * n + v)[(u >= 0) & (v >= 0)])
-    return build_graph(np.column_stack([*np.divmod(keys, n), np.ones_like(keys)]), n)
+    return _csr(keys, np.ones_like(keys), n, np.ones(n, dtype=np.int64))
 
 
 def assign_interface_partition(mesh: Mesh, elem_partition: Partition, seed: int) -> NodeOwnership:

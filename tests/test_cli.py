@@ -173,7 +173,7 @@ def test_report_builds_no_graph(tmp_path, capsys, monkeypatch):
 
     for short in ("cli", "graph", "hierarchy", "kway", "mesh", "nodes"):
         module = importlib.import_module(f"hierpart.{short}")
-        for name in ("build_graph", "dual_graph"):
+        for name in ("build_graph", "_csr", "dual_graph"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     assert run("report", "--mesh", mesh, "--elem-part", epart, "--node-part", npart,

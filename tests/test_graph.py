@@ -15,9 +15,12 @@ from hierpart import (
     Partition,
     balance_stats,
     build_graph,
+    coarsen,
+    dual_graph,
     edge_cut,
     extract_subgraph,
     generate_structured_quad,
+    heavy_edge_match,
     read_graph,
     read_mesh,
     read_partition,
@@ -25,6 +28,8 @@ from hierpart import (
     write_mesh,
     write_partition,
 )
+from hierpart.mesh import _node_parts, _pair_nodes
+from hierpart.nodes import _interface_graph
 
 
 def test_build_graph_sorts_neighbors():
@@ -351,6 +356,36 @@ def test_read_graph_errors(tmp_path):
     p.write_text("2 1\n3\n1\n")
     with pytest.raises(FileFormatError, match="out of range"):
         read_graph(str(p))
+
+
+def test_read_graph_refuses_vertex_counts_whose_keys_wrap_int64(tmp_path, monkeypatch):
+    # A file of 2**31 + 1 lines is too large to write here, so its line count
+    # is stubbed; the refusal comes before any adjacency line is read.
+    p = tmp_path / "big.txt"
+    p.write_text(f"{2**31} 0\n")
+    monkeypatch.setattr(graph_module, "_count_lines", lambda fh: 2**31 + 1)
+    with pytest.raises(ValueError, match=r"^num_vertices must be less than 2\*\*31$"):
+        read_graph(str(p))
+
+
+def test_in_package_graphs_are_checked_for_repeats_at_most_once(tmp_path, monkeypatch):
+    """dual_graph checks its element pairs once, in _element_pairs. read_graph,
+    coarsen and the interface graph hold keys already known to be distinct,
+    so they build with no repeat check."""
+    mesh = generate_structured_quad(8, 6)
+    blocks = Partition(np.arange(48) % 8 // 4 + np.arange(48) // 24 * 2, 4)
+    offsets, parts = _node_parts(mesh, blocks)
+    path = str(tmp_path / "g.txt")
+    write_graph(dual_graph(mesh), path)
+    calls = []
+    real = graph_module._check_edges
+    monkeypatch.setattr(graph_module, "_check_edges", lambda *a: calls.append(1) or real(*a))
+    g = dual_graph(mesh)
+    assert len(calls) == 1
+    read_graph(path)
+    coarsen(g, heavy_edge_match(g, seed=0))
+    assert _interface_graph(mesh, blocks, offsets, _pair_nodes(offsets, parts)[2]).num_edges
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("header, nv, ne", [("-1 0", -1, 0), ("2 -1", 2, -1)])

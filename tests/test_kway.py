@@ -126,6 +126,20 @@ class TestCoarsen:
         with pytest.raises(ValueError):
             coarsen(path4, [0, 1, 2, 9])
 
+    @pytest.mark.parametrize("edge_weights, vertex_weights, message", [
+        ([0, 0], [1, 1], r"^edge \(0, 1\) has non-positive weight 0$"),
+        ([1, 1], [0, 1], r"^vertex weights must be >= 1$"),
+        ([2**62, 2**62], [1, 1], r"^edge weights must total less than 2\*\*62$"),
+    ])
+    def test_hand_built_graphs_with_bad_weights_are_refused(
+        self, edge_weights, vertex_weights, message
+    ):
+        """A hand-built Graph is not checked when it is made; coarsening it
+        (here with an empty matching) refuses the weights build_graph refuses."""
+        g = Graph([0, 1, 2], [1, 0], edge_weights, vertex_weights)
+        with pytest.raises(ValueError, match=message):
+            coarsen(g, [0, 1])
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_weight_conservation(self, seed):
