@@ -53,10 +53,11 @@ def compute_splits(total_parts: int, group_size: int) -> SplitPlan:
 
     The remainder ``total_parts mod group_size``, when nonzero, becomes a
     single undersized leading group; every other group holds exactly
-    ``group_size`` parts.
+    ``group_size`` parts. A ``group_size`` >= ``total_parts`` gives one group.
     """
     if total_parts < 1 or group_size < 1:
         raise ValueError("total_parts and group_size must be >= 1")
+    group_size = min(group_size, total_parts)  # a size past int64 would overflow fill()
     remainder = total_parts % group_size
     num_groups = total_parts // group_size + (1 if remainder else 0)
     # A few cheap array calls: numpy's fixed per-call cost dominates on vectors

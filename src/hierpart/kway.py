@@ -272,10 +272,8 @@ class _GainHeaps:
     weight, so they admit or reject whole classes by passing a list of these
     pairs to :meth:`step`, which moves the best admitted vertex; no move scans
     the vertices. :meth:`load` refills the heap lists in place, so a list of
-    admitted pairs stays valid across loads and a caller may cache it. Gain
-    updates walk a per-vertex ``(neighbour, 2 * edge weight)`` list, built at
-    the vertex's first move and kept for the engine's life (rebalancing moves
-    few vertices, so it builds few): O(degree · log n) per move.
+    admitted pairs stays valid across loads and a caller may cache it. A move
+    walks the vertex's slice of the flat CSR lists: O(degree · log n).
 
     The graph must be simple (no self-loops, no repeated neighbours), as
     :meth:`Graph.validate` requires.
@@ -287,7 +285,6 @@ class _GainHeaps:
         self._offsets = g.adjacency_offsets.tolist()
         self._adjacency = g.adjacency_list.tolist()
         self._double_weights = (2 * g.edge_weights).tolist()
-        self._neighbours: list[list[tuple[int, int]] | None] = [None] * g.num_vertices
         self.weights = g.vertex_weights.tolist()
         self.classes = sorted(set(self.weights))
         self.heaps = {(s, w): (s, []) for s in (0, 1) for w in self.classes}
@@ -354,13 +351,8 @@ class _GainHeaps:
             locked[v] = True
         else:
             heappush(beside[v], v - gain * n)
-        neighbours = self._neighbours[v]
-        if neighbours is None:
-            lo, hi = self._offsets[v], self._offsets[v + 1]
-            neighbours = self._neighbours[v] = list(
-                zip(self._adjacency[lo:hi], self._double_weights[lo:hi])
-            )
-        for u, dw in neighbours:
+        lo, hi = self._offsets[v], self._offsets[v + 1]
+        for u, dw in zip(self._adjacency[lo:hi], self._double_weights[lo:hi]):
             # The edge to v flips internal<->external: a neighbour now beside
             # v loses the incentive to move (the edge would re-cut), one left
             # behind gains it.
@@ -463,6 +455,8 @@ def _rebalance(
     Among moves that strictly reduce |part0 weight − target|, the highest-gain
     one wins (tie: lower id). Used after projecting a coarse bisection to a
     finer level, where weight granularity can leave the window overshot.
+    Moves stay unlocked: a light vertex moved early may move back after a
+    heavier move flips the heavy side.
     """
     target = target_fraction * g.total_vertex_weight
     w0 = int(g.vertex_weights[parts == 0].sum())

@@ -1,13 +1,17 @@
 """End-to-end command-line checks, run in-process through main()."""
 
+import contextlib
 import importlib
+import io
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hierpart import cli, read_mesh, read_partition
+from hierpart import cli, dual_graph, read_mesh, read_partition, write_graph
 from hierpart.cli import main
 
 
@@ -217,6 +221,20 @@ def test_compare_flat_equals_hierarch_when_np2_is_one(tmp_path, capsys):
     for r in rows:
         by_method.setdefault(r[0], []).append(r[1:])
     assert by_method["hierarch"] == by_method["flat"]
+
+
+@pytest.mark.parametrize("np2", [12, 2**63, 2**70])
+def test_np2_at_or_past_np_writes_flat_partition(tmp_path, capsys, np2):
+    # One group of all 12 parts: stage two is the whole cut, so hierarch is flat.
+    mesh, flat, out = tmp_path / "m.txt", tmp_path / "flat.txt", tmp_path / "p.txt"
+    run("gen-mesh", "--nx", 20, "--ny", 17, "--out", mesh)
+    assert run("partition", "--mesh", mesh, "--np", 12, "--method", "flat", "--seed", 3,
+               "--out", flat) == 0
+    assert run("partition", "--mesh", mesh, "--np", 12, "--np2", np2, "--seed", 3,
+               "--out", out) == 0
+    assert run("compare", "--mesh", mesh, "--np", 12, "--np2", np2, "--seed", 3) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == flat.read_bytes()
 
 
 def test_compare_text_table(tmp_path, capsys):
@@ -492,3 +510,70 @@ def test_graph_input_matches_mesh_dual(tmp_path):
     assert run("partition", "--mesh", mesh_path, "--np", 4, "--seed", 2, "--out", p1) == 0
     assert run("partition", "--graph", graph_path, "--np", 4, "--seed", 2, "--out", p2) == 0
     assert p1.read_text() == p2.read_text()
+
+
+# Values a fuzzed integer flag takes: in range, past the 6 elements of the
+# fixture mesh, and at or past the 32- and 64-bit limits.
+_FUZZ_INTS = [-1, 0, 1, 2, 3, 7, 2**31, 2**63 - 1, 2**63, 2**64, 10**30]
+# gen-mesh allocates from its dimensions: numpy refuses 2**63 and up before it
+# allocates, but 2**31 would ask for gigabytes, so its dimensions skip it.
+_FUZZ_DIMS = [-1, 0, 1, 2, 3, 2**63, 2**64, 10**30]
+_FUZZ_TOLS = ["nan", "inf", "-inf", "-0.0", "1e-320", "0.03", "1e308"]
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    """A 3x2 quad mesh, its dual as a graph file, a 3-part split, its node owners."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    files = {flag: str(tmp / name) for flag, name in [
+        ("mesh", "m.txt"), ("graph", "g.txt"), ("elem-part", "p.txt"), ("node-part", "n.txt"),
+        ("out", "o.txt"),
+    ]}
+    assert run("gen-mesh", "--nx", 3, "--ny", 2, "--out", files["mesh"]) == 0
+    write_graph(dual_graph(read_mesh(files["mesh"])), files["graph"])
+    assert run("partition", "--mesh", files["mesh"], "--np", 3, "--out", files["elem-part"]) == 0
+    assert run("assign-nodes", "--mesh", files["mesh"], "--elem-part", files["elem-part"],
+               "--out", files["node-part"]) == 0
+    return files
+
+
+def _fuzz_values(flag, files):
+    if flag in files:
+        return [files[flag]]
+    if flag in ("nx", "ny", "nz"):
+        return _FUZZ_DIMS
+    if flag == "tol":
+        return _FUZZ_TOLS
+    choices = cli._FLAGS[flag].get("choices")
+    return [*choices, "bogus"] if choices else _FUZZ_INTS
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_flags_exit_0_2_3_or_4_without_a_traceback(tiny_files, data):
+    """Each command runs from a valid baseline with up to three of its flags
+    dropped or set from the value sets above; argparse's SystemExit counts as
+    its exit code. MemoryError on gen-mesh is left untested: only dimensions
+    numpy refuses before it allocates are drawn."""
+    command = data.draw(st.sampled_from(sorted(cli._COMMANDS)), label="command")
+    flags = cli._COMMANDS[command].flags.split()
+    given_flags = {"nx": 2, "ny": 2} if command == "gen-mesh" else {}
+    for flag in cli._COMMANDS[command].required.split() + (["mesh"] if command == "partition" else []):
+        given_flags[flag] = tiny_files[flag]
+    changed = data.draw(st.lists(st.sampled_from(flags), max_size=3, unique=True), label="changed")
+    for flag in changed:
+        value = data.draw(st.sampled_from([None, *_fuzz_values(flag, tiny_files)]), label=flag)
+        given_flags.pop(flag, None)
+        if value is not None:
+            given_flags[flag] = value
+    argv = [command, *(f"--{flag}={value}" for flag, value in given_flags.items())]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    assert status in (0, 2, 3, 4), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue(), argv

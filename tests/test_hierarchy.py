@@ -51,6 +51,15 @@ class TestComputeSplits:
         assert plan.weights.fractions.tolist() == [1.0]
         assert plan.offsets.tolist() == [0]
 
+    @pytest.mark.parametrize("group", [6, 2**63, 2**70])
+    def test_group_size_at_or_past_the_total_is_one_group(self, group):
+        # A group size past int64 must not reach counts.fill: it raises OverflowError.
+        plan, one_group = compute_splits(6, group), compute_splits(6, 7)
+        assert (plan.total_parts, plan.num_groups) == (one_group.total_parts, 1)
+        for name in ("group_counts", "offsets"):
+            assert getattr(plan, name).tolist() == getattr(one_group, name).tolist()
+        assert plan.weights.fractions.tolist() == one_group.weights.fractions.tolist() == [1.0]
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             compute_splits(0, 4)

@@ -1,13 +1,15 @@
-"""Memory bounds of the mesh and graph input paths, measured with tracemalloc.
+"""Memory bounds of the input paths and the FM gain engine, measured with tracemalloc.
 
 Readers hold one block of lines plus the arrays they return (and, for a
 graph, a key per neighbor listing), side matching holds packed keys instead
 of sorted copies of every side, the node-to-parts map sorts its corner keys
-in place, and the interface strategy matches only the sides of elements on a
-multi-rank node. Each bound is a stated multiple of what the call returns or
-reads (or, for the interface strategy, a fixed size) that the whole-file
-readers, the chunk line splitter, ``np.unique``, the sort of every side and
-a second check of a graph's edges for repeats exceeded.
+in place, the interface strategy matches only the sides of elements on a
+multi-rank node, and the gain engine walks the flat CSR lists it holds
+instead of caching a neighbour list per moved vertex. Each bound is a stated
+multiple of what the call returns or reads (or, for the interface strategy
+and the engine, a fixed size) that the whole-file readers, the chunk line
+splitter, ``np.unique``, the sort of every side, a second check of a graph's
+edges for repeats and the per-vertex neighbour cache exceeded.
 """
 
 import tracemalloc
@@ -28,6 +30,7 @@ from hierpart import (
     write_mesh,
     write_partition,
 )
+from hierpart import kway
 from hierpart.mesh import _node_parts
 
 
@@ -111,3 +114,14 @@ def test_interface_strategy_matches_only_sides_near_an_interface():
     partition = Partition(x // 64 + 4 * (y // 64), 16)
     _, peak = _peak(assign_interface_partition, mesh, partition, 0)
     assert peak <= 12 * 2**20, peak
+
+
+def test_one_fm_pass_holds_under_600_bytes_a_vertex(monkeypatch):
+    # One full pass from random sides moves nearly every vertex. Caching a
+    # (neighbour, 2 * weight) tuple list per moved vertex peaked at 876-887
+    # bytes a vertex on the hex 24³ dual; walking the CSR slices, at 491.
+    graph = dual_graph(generate_structured_hex(24, 24, 24))
+    sides = np.random.default_rng(0).integers(0, 2, graph.num_vertices)
+    monkeypatch.setattr(kway, "_MAX_FM_PASSES", 1)
+    _, peak = _peak(kway.fm_refine, graph, Partition(sides, 2), 0.5, 0.03)
+    assert peak <= 600 * graph.num_vertices, peak / graph.num_vertices
