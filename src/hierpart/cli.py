@@ -9,8 +9,8 @@ All randomness flows from --seed; identical flags give byte-identical output
 files (summaries on stdout additionally show wall time, which of course
 varies).
 
-Exit codes: 0 success, 2 invalid input, 3 infeasible configuration,
-4 I/O or file-format failure.
+Exit codes: 0 success, 2 invalid input, 3 infeasible configuration (or
+out of memory), 4 I/O or file-format failure.
 """
 
 from __future__ import annotations
@@ -302,11 +302,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_flags(args)
         _COMMANDS[args.command].run(args)
-    except (OSError, InfeasibleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, InfeasibleError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         if isinstance(exc, (FileFormatError, OSError, UnicodeDecodeError)):
             return 4
-        return 3 if isinstance(exc, InfeasibleError) else 2
+        return 3 if isinstance(exc, (InfeasibleError, MemoryError)) else 2
     return 0
 
 

@@ -221,10 +221,10 @@ def _exact_sum(values: np.ndarray) -> int:
 
 
 def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Raise for the first bad edge in input order, or return keys ``min * num_vertices + max``.
+    """Check the edges given to :func:`build_graph`; return keys ``min * num_vertices + max``.
 
-    Each edge is checked for a self-loop, then range, then weight, then for
-    repeating an earlier edge in either orientation.
+    Raise for the first bad edge in input order. Each edge is checked for a self-loop,
+    then range, then weight, then for repeating an earlier edge in either orientation.
     """
     m = len(u)
     bad = (u == v) | (u < 0) | (u >= num_vertices) | (v < 0) | (v >= num_vertices) | (w < 1)

@@ -63,11 +63,8 @@ class Mesh:
         if self.element_nodes.size:
             if self.element_nodes.min() < 0 or self.element_nodes.max() >= self.num_nodes:
                 raise ValueError("element references node id out of range")
-            repeats = np.zeros(self.num_elements, dtype=bool)
-            for i, j in zip(*np.triu_indices(expect, 1)):  # two boolean columns, no copy
-                repeats |= self.element_nodes[:, i] == self.element_nodes[:, j]
-            if repeats.any():
-                raise ValueError(f"element {int(np.argmax(repeats))} repeats a node id")
+            if (e := _first_repeat(self.element_nodes)) >= 0:
+                raise ValueError(f"element {e} repeats a node id")
 
     @property
     def num_nodes(self) -> int:
@@ -76,6 +73,14 @@ class Mesh:
     @property
     def num_elements(self) -> int:
         return len(self.element_nodes)
+
+
+def _first_repeat(element_nodes: np.ndarray) -> int:
+    """The first element that lists a node id twice, or -1 when none does."""
+    repeats = np.zeros(len(element_nodes), dtype=bool)
+    for i, j in zip(*np.triu_indices(element_nodes.shape[1], 1)):  # two boolean columns, no copy
+        repeats |= element_nodes[:, i] == element_nodes[:, j]
+    return int(np.argmax(repeats)) if repeats.any() else -1
 
 
 def generate_structured_quad(nx: int, ny: int) -> Mesh:
@@ -195,22 +200,20 @@ def _side_nodes(mesh: Mesh, sides: np.ndarray) -> np.ndarray:
 
 
 def _element_pairs(mesh: Mesh) -> np.ndarray:
-    """The element pairs :func:`_shared_sides` matches, in order, as ``min * num_elements + max``.
+    """The element pairs :func:`_shared_sides` matches, ascending, as ``min * num_elements + max``.
 
-    Two elements that share more than one side (a folded mesh) are refused as
-    :func:`build_graph` refuses a repeated edge, naming the first repeat.
+    Two elements that share several sides (a folded mesh) are one pair. No
+    element matches its own side (:class:`Mesh` refuses a repeated node id).
     """
-    elem_a, elem_b = _shared_sides(mesh)
-    per_elem = len(_local_sides(mesh))
-    elem_a //= per_elem
-    elem_b //= per_elem
-    return graph._check_edges(elem_a, elem_b, np.ones_like(elem_a), mesh.num_elements)
+    side_a, side_b = _shared_sides(mesh)
+    m = len(_local_sides(mesh))
+    return graph._sort_unique(side_a // m * mesh.num_elements + side_b // m)
 
 
 def dual_graph(mesh: Mesh) -> Graph:
     """Element adjacency graph: an edge wherever two elements share a full side.
 
-    Edges are the pairs of :func:`_element_pairs`, which checks them. All weights are 1.
+    One edge per pair of :func:`_element_pairs`, however many sides it shares. All weights are 1.
     """
     keys, n = _element_pairs(mesh), mesh.num_elements
     return graph._csr(keys, np.ones_like(keys), n, np.ones(n, dtype=np.int64))
@@ -328,8 +331,8 @@ def read_mesh(path: str) -> Mesh:
         _parse_rows(path, fh, 1 + nn, elems, int, "node ids", "bad node id", nn)
     try:
         mesh = Mesh(dim, elems, coords)
-    except ValueError as exc:
-        raise FileFormatError(path, 1, str(exc)) from None
+    except ValueError as exc:  # the one check left: an element line repeats a node id
+        raise FileFormatError(path, 2 + nn + _first_repeat(elems), str(exc)) from None
     used = np.zeros(nn, dtype=bool)
     used[elems] = True
     if not used.all():

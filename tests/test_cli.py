@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpart import cli, dual_graph, read_mesh, read_partition, write_graph
+from hierpart import graph as graph_module
 from hierpart.cli import main
 
 
@@ -189,15 +190,73 @@ def test_report_builds_no_graph(tmp_path, capsys, monkeypatch):
     ]
 
 
-def test_report_refuses_a_folded_mesh(tmp_path, capsys):
-    """Two quads that share all four sides: exit 2 with build_graph's message, no --out."""
+def test_report_counts_a_folded_pair_once(tmp_path, capsys):
+    """Two quads that share all four sides, in two parts: one cut element pair."""
     mesh, epart, npart, out = (tmp_path / name for name in ("m.txt", "p.txt", "n.txt", "o.txt"))
     mesh.write_text("2 4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n1 0 3 2\n")
     epart.write_text("0\n1\n")
     npart.write_text("0\n0\n1\n1\n")
     assert run("report", "--mesh", mesh, "--elem-part", epart, "--node-part", npart,
-               "--out", out) == 2
-    assert capsys.readouterr().err == "error: duplicate edge (0, 1)\n"
+               "--format", "csv", "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1:] == [
+        "0,1,2,1,1,1.000000,1.000000",
+        "1,1,2,1,1,1.000000,1.000000",
+    ]
+
+
+# Two elements that share all their sides: the quad ring shares four, the hex pair six.
+_FOLDED_MESHES = {
+    "quad ring": "2 4 2\n0 0\n1 0\n0 1\n1 1\n0 1 3 2\n1 0 2 3\n",
+    "hex pair": "3 8 2\n" + "0 0 0\n" * 8 + "0 1 2 3 4 5 6 7\n1 0 3 2 5 4 7 6\n",
+}
+
+
+@pytest.mark.parametrize("text", _FOLDED_MESHES.values(), ids=_FOLDED_MESHES)
+def test_every_command_takes_a_folded_mesh(tmp_path, capsys, monkeypatch, text):
+    """The folded pair is one dual edge, every command exits 0, and report's cut
+    is partition's and compare's, 1. dual_graph and report run no repeat check."""
+    mesh, part, nodes = (tmp_path / name for name in ("m.txt", "p.txt", "n.txt"))
+    mesh.write_text(text)
+    calls = []
+    real = graph_module._check_edges
+    monkeypatch.setattr(graph_module, "_check_edges", lambda *a: calls.append(1) or real(*a))
+    g = dual_graph(read_mesh(str(mesh)))
+    g.validate()
+    assert (g.num_vertices, g.num_edges, calls) == (2, 1, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lowest-rank gives rank 1 no nodes: NR is infinite
+        assert run("compare", "--mesh", mesh, "--np", 2, "--format", "csv") == 0
+        assert {row.split(",")[5] for row in capsys.readouterr().out.splitlines()[1:]} == {"1"}
+        for method in ("flat", "hierarch"):
+            assert run("partition", "--mesh", mesh, "--np", 2, "--method", method,
+                       "--format", "csv", "--out", part) == 0
+            assert capsys.readouterr().out.splitlines()[1].split(",")[0] == "1"
+        for strategy in sorted(cli._STRATEGIES):
+            assert run("assign-nodes", "--mesh", mesh, "--elem-part", part,
+                       "--node-strategy", strategy, "--out", nodes) == 0
+            calls.clear()
+            assert run("report", "--mesh", mesh, "--elem-part", part, "--node-part", nodes,
+                       "--format", "csv") == 0
+            assert calls == []
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert [row.split(",")[3:5] for row in rows] == [["1", "1"], ["1", "1"]]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 320. GiB for an array with shape (215, 200000000)"),
+     "Unable to allocate 320. GiB for an array with shape (215, 200000000)"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy's message", "no message"])
+def test_memory_error_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, error, message):
+    """Raised, not allocated: gen-mesh exits 3 with one line and writes no --out."""
+    def allocate(nx, ny):
+        raise error
+    monkeypatch.setattr(cli, "generate_structured_quad", allocate)
+    out = tmp_path / "m.txt"
+    assert run("gen-mesh", "--nx", 2, "--ny", 2, "--out", out) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -553,8 +612,8 @@ def _fuzz_values(flag, files):
 def test_fuzzed_flags_exit_0_2_3_or_4_without_a_traceback(tiny_files, data):
     """Each command runs from a valid baseline with up to three of its flags
     dropped or set from the value sets above; argparse's SystemExit counts as
-    its exit code. MemoryError on gen-mesh is left untested: only dimensions
-    numpy refuses before it allocates are drawn."""
+    its exit code. Only dimensions numpy refuses before it allocates are
+    drawn; test_memory_error_exits_3_with_one_error_line raises a MemoryError."""
     command = data.draw(st.sampled_from(sorted(cli._COMMANDS)), label="command")
     flags = cli._COMMANDS[command].flags.split()
     given_flags = {"nx": 2, "ny": 2} if command == "gen-mesh" else {}

@@ -192,10 +192,11 @@ class TestDualGraph:
             assert dual_graph(m).num_vertices == m.num_elements
 
 
-    def test_elements_sharing_several_sides_are_a_duplicate_edge(self):
+    def test_elements_sharing_several_sides_are_one_edge(self):
         # The second quad lists the first one's nodes in another order: all four sides match.
-        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
-            dual_graph(Mesh(2, [[0, 1, 2, 3], [1, 0, 3, 2]], np.zeros((4, 2))))
+        g = dual_graph(Mesh(2, [[0, 1, 2, 3], [1, 0, 3, 2]], np.zeros((4, 2))))
+        g.validate()
+        assert (g.num_vertices, g.num_edges) == (2, 1)
 
     def test_too_many_nodes_for_int64_side_keys(self):
         # 3,037,000,500² > 2**63; the coordinates are a broadcast view, so nothing is allocated.
@@ -295,6 +296,23 @@ def test_mesh_file_header_and_errors(tmp_path):
     p.write_text("2 4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 9\n")
     with pytest.raises(FileFormatError, match="out of range"):
         read_mesh(str(p))
+
+
+@pytest.mark.parametrize("bad", [0, 1])  # the first element, a later one
+@pytest.mark.parametrize(
+    "mesh", [generate_structured_quad(2, 1), generate_structured_hex(2, 1, 1)], ids=["quad", "hex"]
+)
+def test_read_mesh_names_the_line_of_an_element_that_repeats_a_node_id(tmp_path, mesh, bad):
+    path = tmp_path / "m.txt"
+    write_mesh(mesh, str(path))
+    lines = path.read_text().splitlines()
+    line = 2 + mesh.num_nodes + bad
+    ids = lines[line - 1].split()
+    lines[line - 1] = " ".join(ids[:2] + ids[1:-1])  # the second id twice
+    path.write_text("\n".join(lines) + "\n")
+    message = rf"^.*m\.txt:{line}: element {bad} repeats a node id$"
+    with pytest.raises(FileFormatError, match=message):
+        read_mesh(str(path))
 
 
 @pytest.mark.parametrize("line", [3, 8])  # a coordinate line, an element line
