@@ -26,9 +26,10 @@ import random
 import signal
 import threading
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -121,21 +122,16 @@ class CoarseningLevel:
         self.projection = np.asarray(self.projection, dtype=np.int64)
 
 
-def heavy_edge_match(g: Graph, seed: int, order: Sequence[int] | None = None) -> np.ndarray:
+def heavy_edge_match(g: Graph, seed: int) -> np.ndarray:
     """Greedy heavy-edge matching; returns per-vertex mate (self if unmatched).
 
-    Vertices are visited in a seeded random order (or the explicit ``order``);
-    each still-unmatched vertex pairs with its unmatched neighbor of maximum
-    edge weight, ties going to the lowest neighbor id.
+    Vertices are visited in a seeded random order; each still-unmatched vertex
+    pairs with its unmatched neighbor of maximum edge weight, ties going to the
+    lowest neighbor id.
     """
     nv = g.num_vertices
-    if order is None:
-        visit = list(range(nv))
-        random.Random(seed).shuffle(visit)
-    else:
-        visit = [int(v) for v in order]
-        if any(not 0 <= v < nv for v in visit):
-            raise ValueError(f"order holds a vertex id outside [0, {nv})")
+    visit = list(range(nv))
+    random.Random(seed).shuffle(visit)
     # Sequential by contract (the visit order decides the matching), so it
     # walks Python lists taken once from the CSR arrays.
     offsets = g.adjacency_offsets.tolist()
@@ -264,15 +260,15 @@ class _GainHeaps:
     as ``(-gain, id)`` would, so the smallest live key over a set of classes is
     the highest-gain move among them, ties going to the lowest id. A key
     decodes as ``id = key % n`` and ``gain = -(key // n)``. An entry is live
-    while its vertex is still on that side with that gain: every gain or side
-    change pushes a fresh key, and stale ones are popped when they surface.
+    while its vertex is unlocked and still on that side with that gain: every
+    gain or side change pushes a fresh key, and stale ones are popped when
+    they surface.
 
-    :attr:`heaps` maps each ``(side, weight)`` class to a ``(side, heap)``
-    pair. The callers' balance rules depend only on a vertex's side and
-    weight, so they admit or reject whole classes by passing a list of these
-    pairs to :meth:`step`, which moves the best admitted vertex; no move scans
-    the vertices. :meth:`load` refills the heap lists in place, so a list of
-    admitted pairs stays valid across loads and a caller may cache it. A move
+    :attr:`w0` is part 0's vertex weight. A caller states its balance rule as
+    a window ``[lo, hi]`` for :attr:`w0`, and :meth:`step` moves the best
+    vertex whose move keeps :attr:`w0` inside it. A window admits one run of
+    sorted weight classes per side, kept per window relative to :attr:`w0`
+    and valid across :meth:`load`, which refills the heaps in place. A move
     walks the vertex's slice of the flat CSR lists: O(degree · log n).
 
     The graph must be simple (no self-loops, no repeated neighbours), as
@@ -285,14 +281,16 @@ class _GainHeaps:
         self._offsets = g.adjacency_offsets.tolist()
         self._adjacency = g.adjacency_list.tolist()
         self._double_weights = (2 * g.edge_weights).tolist()
-        self.weights = g.vertex_weights.tolist()
-        self.classes = sorted(set(self.weights))
-        self.heaps = {(s, w): (s, []) for s in (0, 1) for w in self.classes}
+        self._weights = g.vertex_weights.tolist()
+        self._classes = sorted(set(self._weights))
+        # Per side, one heap per weight class, lightest first.
+        self._heaps = tuple([[] for _ in self._classes] for _ in (0, 1))
         # Per side, each vertex's heap in that side's class for its weight.
         self._homes = tuple(
-            list(map({w: self.heaps[s, w][1] for w in self.classes}.__getitem__, self.weights))
-            for s in (0, 1)
+            list(map(dict(zip(self._classes, heaps)).__getitem__, self._weights))
+            for heaps in self._heaps
         )
+        self._admitted: dict[tuple[float, float], list[tuple[int, list[int]]]] = {}
 
     def load(self, parts: np.ndarray) -> None:
         """Start over from ``parts``: gains from scratch, every vertex unlocked.
@@ -303,6 +301,7 @@ class _GainHeaps:
         self.parts = parts.tolist()
         self.gains = gains.tolist()
         self._locked = [False] * len(self.parts)
+        self.w0 = int(self._graph.vertex_weights[parts == 0].sum())
         # Sorted by (side, weight, -gain, id), each class is one run, and a
         # sorted run is already a heap. lexsort is stable, so ties keep id order.
         vw = self._graph.vertex_weights
@@ -314,45 +313,54 @@ class _GainHeaps:
             ids, sorted_gains = ids.astype(object), sorted_gains.astype(object)
         keys = (ids - sorted_gains * n).tolist()
         starts = np.flatnonzero((np.diff(side) != 0) | (np.diff(weight) != 0)) + 1
-        for _, heap in self.heaps.values():
+        for heap in itertools.chain(*self._heaps):
             heap.clear()
         bounds = [0, *starts.tolist(), len(keys)] if keys else []
         for lo, hi in zip(bounds, bounds[1:]):
-            self.heaps[int(side[lo]), int(weight[lo])][1].extend(keys[lo:hi])
+            self._homes[side[lo]][order[lo]].extend(keys[lo:hi])
 
-    def step(self, cands: Iterable[tuple[int, list[int]]], lock: bool = False) -> int:
-        """Move the best vertex among the ``(side, heap)`` pairs ``cands``.
+    def step(self, lo: float, hi: float, lock: bool = False) -> int:
+        """Move the best vertex whose move leaves :attr:`w0` inside ``[lo, hi]``.
 
-        The highest-gain live vertex (tie: lowest id) flips to the other side,
-        the gains around it are updated, and its id is returned; -1 means the
-        candidates held no live entry and nothing moved. A locked vertex gets no
-        heap entries until the next :meth:`load`, so it cannot be picked
-        again; its old entries are stale by side.
+        The highest-gain such vertex (tie: lowest id) flips to the other side,
+        the gains around it are updated, and its id is returned; -1 means no
+        move fits (as in an empty window, ``lo > hi``) and nothing moved. A
+        locked vertex cannot be picked again until the next :meth:`load`.
         """
-        n, parts, gains, heappop = self._n, self.parts, self.gains, heapq.heappop
-        top = -1
+        n, parts, gains, locked = self._n, self.parts, self.gains, self._locked
+        heappop, heappush = heapq.heappop, heapq.heappush
+        w0 = self.w0
+        cands = self._admitted.get((lo - w0, hi - w0))
+        if cands is None:
+            # Side 0 admits the weights in [w0 - hi, w0 - lo], side 1 those in [lo - w0, hi - w0].
+            c, (heaps0, heaps1) = self._classes, self._heaps
+            cands = self._admitted[lo - w0, hi - w0] = [
+                (0, h) for h in heaps0[bisect_left(c, w0 - hi):bisect_right(c, w0 - lo)]
+            ] + [(1, h) for h in heaps1[bisect_left(c, lo - w0):bisect_right(c, hi - w0)]]
+        v = -1
         for side, heap in cands:
             while heap:
                 key = heap[0]
-                v = key % n
-                if parts[v] == side and key == v - gains[v] * n:
-                    if top < 0 or key < best:
-                        top, best = v, key
+                u = key % n
+                # A locked vertex back on a side it left unlocked has old entries there.
+                if parts[u] == side and key == u - gains[u] * n and not locked[u]:
+                    if v < 0 or key < best:
+                        v, best = u, key
                     break
                 heappop(heap)
-        if top < 0:
+        if v < 0:
             return -1
-        v, locked, heappush = top, self._locked, heapq.heappush
         side = parts[v] ^ 1
         parts[v] = side
+        self.w0 = w0 - self._weights[v] if side else w0 + self._weights[v]
         gain = gains[v] = -gains[v]
         beside, behind = self._homes[side], self._homes[side ^ 1]
         if lock:
             locked[v] = True
         else:
             heappush(beside[v], v - gain * n)
-        lo, hi = self._offsets[v], self._offsets[v + 1]
-        for u, dw in zip(self._adjacency[lo:hi], self._double_weights[lo:hi]):
+        start, stop = self._offsets[v], self._offsets[v + 1]
+        for u, dw in zip(self._adjacency[start:stop], self._double_weights[start:stop]):
             # The edge to v flips internal<->external: a neighbour now beside
             # v loses the incentive to move (the edge would re-cut), one left
             # behind gains it.
@@ -375,9 +383,8 @@ def fm_refine(g: Graph, p: Partition, target_fraction: float, imbalance_tol: flo
     target). Every vertex not yet moved in the pass whose weight fits the
     window is a candidate, not only boundary vertices; the highest-gain
     candidate moves (tie: lower vertex id). Each move is one
-    :meth:`_GainHeaps.step` over the (side, weight) heap classes that the
-    current part 0 weight admits; the admitted classes are cached per part 0
-    weight for the whole call. The pass then rolls back to the best prefix —
+    :meth:`_GainHeaps.step` in the range of part 0 weights that the balance
+    window admits. The pass then rolls back to the best prefix —
     lowest cut, then smallest weight deviation, then shortest. Passes repeat
     until the cut stops improving or ``_MAX_FM_PASSES`` is reached. The
     returned cut never exceeds the input cut.
@@ -399,49 +406,40 @@ def fm_refine(g: Graph, p: Partition, target_fraction: float, imbalance_tol: flo
     total = g.total_vertex_weight
     if total == 0:
         return Partition(parts, 2)
-    vw = g.vertex_weights
     target = target_fraction * total
-    w0 = int(vw[parts == 0].sum())
+    w0 = int(g.vertex_weights[parts == 0].sum())
     window = max(imbalance_tol, abs(w0 - target) / total + 1e-12) * total
     eps = 1e-9 * max(1.0, total)
+    limit = window + eps
+    # The part 0 weights x with abs(x - target) <= limit: x - target rounds monotonically
+    # in x, so they are an interval, which holds w0 as the window covers its deviation.
+    lo = bisect_left(range(w0), -limit, key=lambda x: x - target)
+    hi = w0 + bisect_right(range(w0 + 1, total + 1), limit, key=lambda x: x - target)
 
     heaps = _GainHeaps(g)
-    weights, classes, by_class = heaps.weights, heaps.classes, heaps.heaps
-    limit = window + eps
-    # Moving a vertex off side 0 shifts w0 by -w; off side 1 by +w. Whether
-    # that stays in the window depends only on the side, the weight and w0,
-    # so the admitted classes are worked out once per w0 for the whole call.
-    admitted: dict[int, list[tuple[int, list[int]]]] = {}
     cut = edge_cut(g, Partition(parts, 2))
     for _ in range(_MAX_FM_PASSES):
         pass_start_cut = cut
         heaps.load(parts)
         side_of, gains = heaps.parts, heaps.gains
         trail: list[int] = []
-        cur_cut, cur_w0 = cut, w0
-        best_cut, best_dev, best_len = cut, abs(w0 - target), 0
+        cur_cut = cut
+        best_cut, best_dev, best_len = cut, abs(heaps.w0 - target), 0
         while True:
-            cands = admitted.get(cur_w0)
-            if cands is None:
-                cands = admitted[cur_w0] = [
-                    by_class[0, w] for w in classes if abs((cur_w0 - w) - target) <= limit
-                ] + [by_class[1, w] for w in classes if abs((cur_w0 + w) - target) <= limit]
-            v = heaps.step(cands, lock=True)
+            v = heaps.step(lo, hi, lock=True)
             if v < 0:
                 break
             cur_cut += gains[v]  # the move negated v's gain: the cut fell by the old one
-            cur_w0 += weights[v] if side_of[v] == 0 else -weights[v]
             trail.append(v)
             # Best prefix: lowest cut, then smallest deviation, then shortest.
             if cur_cut <= best_cut:
-                dev = abs(cur_w0 - target)
+                dev = abs(heaps.w0 - target)
                 if cur_cut < best_cut or dev < best_dev:
                     best_cut, best_dev, best_len = cur_cut, dev, len(trail)
         for v in reversed(trail[best_len:]):  # roll back past the best prefix
             side_of[v] ^= 1
         parts = np.array(side_of, dtype=np.int64)
         cut = best_cut
-        w0 = int(vw[parts == 0].sum())
         if cut >= pass_start_cut:
             break
     return Partition(parts, 2)
@@ -465,12 +463,13 @@ def _rebalance(
     heaps = _GainHeaps(g)
     heaps.load(parts)
     while True:
-        dev = abs(w0 - target)
-        heavy = 0 if w0 > target else 1
-        v = heaps.step([heaps.heaps[heavy, w] for w in heaps.classes if w < 2 * dev])
-        if v < 0:
+        # A move off the heavy side shrinks the deviation iff the vertex
+        # weighs less than 2·dev, that is at most r.
+        w0 = heaps.w0
+        r = math.ceil(2 * abs(w0 - target)) - 1
+        lo, hi = (w0 - r, w0 - 1) if w0 > target else (w0 + 1, w0 + r)
+        if heaps.step(lo, hi) < 0:
             break
-        w0 += heaps.weights[v] if heavy == 1 else -heaps.weights[v]
     parts[:] = heaps.parts
     return parts
 
@@ -486,9 +485,10 @@ def _repair_counts(
     heaps.load(parts)
     for side in (0, 1):
         other = 1 - side
-        donors = [heaps.heaps[other, w] for w in heaps.classes]
+        # Only the other side's vertices move: onto side 0 raises w0, onto side 1 lowers it.
+        lo, hi = (1, math.inf) if side == 0 else (-math.inf, -1)
         while counts[side] < min_counts[side]:
-            heaps.step(donors)
+            heaps.step(heaps.w0 + lo, heaps.w0 + hi)
             counts[side] += 1
             counts[other] -= 1
     parts[:] = heaps.parts

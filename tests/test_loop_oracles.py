@@ -257,13 +257,10 @@ def _loop_read_graph(path):
 # ---------------------------------------------------------------------------
 
 
-def _loop_heavy_edge_match(g, seed, order=None):
+def _loop_heavy_edge_match(g, seed):
     nv = g.num_vertices
-    if order is None:
-        visit = list(range(nv))
-        random.Random(seed).shuffle(visit)
-    else:
-        visit = [int(v) for v in order]
+    visit = list(range(nv))
+    random.Random(seed).shuffle(visit)
     mates = np.arange(nv, dtype=np.int64)
     for v in visit:
         if mates[v] != v:
@@ -776,11 +773,8 @@ class TestContraction:
     def test_heavy_edge_match_and_coarsen_match_loop(self, seed):
         rng = random.Random(seed)
         g = _weighted_graph(rng)
-        order = None
-        if rng.random() < 0.3:
-            order = [np.int64(v) for v in rng.sample(range(g.num_vertices), g.num_vertices)]
-        mates = heavy_edge_match(g, seed, order)
-        expected_mates = _loop_heavy_edge_match(g, seed, order)
+        mates = heavy_edge_match(g, seed)
+        expected_mates = _loop_heavy_edge_match(g, seed)
         assert mates.dtype == np.int64
         assert mates.tobytes() == expected_mates.tobytes()
         step = coarsen(g, mates)
