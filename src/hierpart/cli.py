@@ -37,8 +37,8 @@ from .graph import (
 from .hierarchy import hierarchical_partition
 from .kway import partition_kway
 from .mesh import (
-    Mesh, _element_pairs, dual_graph, generate_structured_hex, generate_structured_quad, read_mesh,
-    write_mesh,
+    Mesh, _element_pairs, _interface_elements, _node_parts, dual_graph, generate_structured_hex,
+    generate_structured_quad, read_mesh, write_mesh,
 )
 from .nodes import (
     NodeOwnership,
@@ -216,8 +216,10 @@ def _report_rows(args: argparse.Namespace) -> tuple[list[tuple], int, float, flo
     partition = Partition(partition.parts, num_ranks)
     ownership = NodeOwnership.from_owner(ownership.owner, num_ranks)
 
-    # A cut element pair counts once for each of its two parts.
-    part_a, part_b = (partition.parts[e] for e in divmod(_element_pairs(mesh), mesh.num_elements))
+    # Only elements with a corner on two parts can hold a cut element pair,
+    # which counts once for each of its two parts.
+    kept, near = _interface_elements(mesh, _node_parts(mesh, partition)[0])
+    part_a, part_b = (partition.parts[kept[e]] for e in divmod(_element_pairs(near), len(kept)))
     cut = part_a != part_b
     boundary = sum(np.bincount(parts[cut], minlength=num_ranks) for parts in (part_a, part_b))
     columns = (partition.part_sizes(), ownership.counts, boundary)

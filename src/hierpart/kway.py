@@ -529,10 +529,14 @@ def _multilevel_bisect(
     # One seeded start plus fixed spread starts: cheap insurance against a
     # growth front that strands the small side of a lopsided target.
     seeded = random.Random(derive_seed(seed, 2)).randrange(nvc)
+    grown = set()  # a start that grows an earlier start's bisection would refine it alike
     for start in dict.fromkeys((seeded, 0, nvc - 1, nvc // 2)):
         cand = initial_bisection(coarsest, target_fraction, start=start).parts
         if cand.min() == cand.max():  # growth swallowed everything; peel one back
             cand[np.argmax(coarsest.vertex_weights == coarsest.vertex_weights.min())] = 1
+        if (drawn := cand.tobytes()) in grown:
+            continue
+        grown.add(drawn)
         cand = _rebalance(coarsest, cand, target_fraction)
         cand = fm_refine(coarsest, Partition(cand, 2), target_fraction, tol).parts
         key = (

@@ -15,7 +15,9 @@ import numpy as np
 
 from .graph import Graph, Partition, _csr, _read_ids, _sort_unique, _write_ids
 from .kway import _cut_subgraphs, derive_seed, partition_kway
-from .mesh import Mesh, _local_sides, _node_parts, _pair_nodes, _shared_sides, _side_nodes
+from .mesh import (
+    Mesh, _interface_elements, _local_sides, _node_parts, _pair_nodes, _shared_sides, _side_nodes,
+)
 
 __all__ = [
     "NodeOwnership",
@@ -78,9 +80,12 @@ def _assign_multi_rank_greedy(
     ``owner`` in place.
     """
     counts = np.bincount(owner[owner >= 0], minlength=num_ranks).tolist()
-    bounds, ranks = offsets.tolist(), parts.tolist()
-    for n in np.flatnonzero(np.diff(offsets) > 2).tolist():
-        pick = min(ranks[bounds[n]:bounds[n + 1]], key=lambda r: (counts[r], r))
+    sizes = np.diff(offsets)
+    multi = sizes > 2
+    ranks = parts[np.repeat(multi, sizes)].tolist()  # the ranks of those nodes, back to back
+    bounds = np.cumsum(np.append(0, sizes[multi])).tolist()
+    for i, n in enumerate(np.flatnonzero(multi).tolist()):
+        pick = min(ranks[bounds[i]:bounds[i + 1]], key=lambda r: (counts[r], r))
         owner[n] = pick
         counts[pick] += 1
 
@@ -108,15 +113,13 @@ def _interface_graph(
 
     ``offsets`` is the node-to-ranks map of :func:`_node_parts`, and ``nodes``
     lists the nodes on exactly two ranks. Two of them are joined wherever they
-    lie on a common side shared by elements on two ranks. Every node of such a
-    side is on both ranks, so both of its elements contain a node on two
-    ranks or more; only the sides of those elements are matched.
+    lie on a common side shared by elements on two ranks; only the sides of
+    :func:`_interface_elements` are matched.
     """
-    touching = np.flatnonzero((np.diff(offsets) >= 2)[mesh.element_nodes].any(axis=1))
-    near = Mesh(mesh.dim, mesh.element_nodes[touching], mesh.node_coords)
+    kept, near = _interface_elements(mesh, offsets)
     side_a, side_b = _shared_sides(near)
     per_elem = len(_local_sides(near))
-    ranks = elem_partition.parts[touching]
+    ranks = elem_partition.parts[kept]
     side_nodes = _side_nodes(near, side_a[ranks[side_a // per_elem] != ranks[side_b // per_elem]])
     # A side shared across ranks a and b puts its nodes on both, so those on
     # no third rank are vertices of the interface graph of pair (a, b).

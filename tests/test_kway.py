@@ -741,3 +741,62 @@ class TestRefinementCallStructure:
         assert all(isinstance(graph, Graph) for graph, _ in fm_args)
         assert all(isinstance(p, Partition) and p.num_parts == 2 for _, p in fm_args)
         assert len(fm_args) == len(starts) + len(chain)
+
+    @staticmethod
+    def _every_start_bisect(g, target_fraction, tol, seed):
+        """``_multilevel_bisect`` on a graph too small to coarsen, refining
+        every coarsest start, repeated bisections too."""
+        nv, best = g.num_vertices, None
+        target = target_fraction * g.total_vertex_weight
+        seeded = random.Random(derive_seed(seed, 2)).randrange(nv)
+        for start in dict.fromkeys((seeded, 0, nv - 1, nv // 2)):
+            cand = initial_bisection(g, target_fraction, start=start).parts
+            if cand.min() == cand.max():
+                cand[np.argmax(g.vertex_weights == g.vertex_weights.min())] = 1
+            cand = fm_refine(g, Partition(_rebalance(g, cand, target_fraction), 2),
+                             target_fraction, tol).parts
+            key = (edge_cut(g, Partition(cand, 2)),
+                   abs(float(g.vertex_weights[cand == 0].sum()) - target))
+            if best is None or key < best[0]:
+                best = key, cand
+        return _repair_counts(g, best[1], (1, 1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_start_that_grows_an_earlier_bisection_is_not_refined(self, monkeypatch, seed):
+        # On the path 0-1-2, half the weight is two vertices: starts 0 and 1
+        # (nv // 2) both grow {0, 1}, and start 2 (nv - 1) grows {1, 2}.
+        g = build_graph([(0, 1, 1), (1, 2, 1)], 3)
+        expected = self._every_start_bisect(g, 0.5, 0.03, seed)
+        calls = []
+        real_fm = kway.fm_refine
+        monkeypatch.setattr(kway, "fm_refine", lambda *args: calls.append(args) or real_fm(*args))
+        got = kway._multilevel_bisect(g, 0.5, 0.03, seed, (1, 1))
+        assert len(calls) == 2
+        assert got.tobytes() == expected.tobytes()
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_skipped_starts_leave_the_bisection_unchanged(self, seed):
+        """Graphs of at most 12 vertices, too small to coarsen: one FM call per
+        distinct grown bisection, and the parts of refining every start."""
+        rng = random.Random(seed)
+        g = random_graph(rng, 12)[0]
+        if g.num_vertices < 2:
+            return
+        target, tol = rng.uniform(0.2, 0.8), rng.choice([0.0, 0.03, 0.2])
+        expected = self._every_start_bisect(g, target, tol, seed)
+        grown, calls = set(), []
+        real_init, real_fm = kway.initial_bisection, kway.fm_refine
+
+        def init(*args, **kwargs):
+            parts = real_init(*args, **kwargs).parts.copy()
+            if parts.min() == parts.max():
+                parts[np.argmax(g.vertex_weights == g.vertex_weights.min())] = 1
+            grown.add(parts.tobytes())
+            return real_init(*args, **kwargs)
+
+        with mock.patch.object(kway, "initial_bisection", init), \
+                mock.patch.object(kway, "fm_refine", lambda *a: calls.append(a) or real_fm(*a)):
+            got = kway._multilevel_bisect(g, target, tol, seed, (1, 1))
+        assert len(calls) == len(grown)
+        assert got.tobytes() == expected.tobytes()

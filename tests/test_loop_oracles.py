@@ -1712,41 +1712,124 @@ def _loop_cut_tallies(g, parts, num_ranks):
     return tallies, sum(tallies) // 2
 
 
+def _loop_check_report(mesh, parts, owner):
+    """``report --format csv``'s ``edge_cuts`` and ``global_edge_cut`` equal
+    tallies of the loop dual graph's cut edges."""
+    num_ranks = max(parts + owner) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("m.txt", "p.txt", "n.txt", "o.txt")]
+        write_mesh(mesh, paths[0])
+        for path, ids in zip(paths[1:3], (parts, owner)):
+            with open(path, "w") as fh:
+                fh.write("".join(f"{i}\n" for i in ids))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty ranks make the ratios infinite
+            status = main(["report", "--mesh", paths[0], "--elem-part", paths[1],
+                           "--node-part", paths[2], "--format", "csv", "--out", paths[3]])
+        assert status == 0, stderr.getvalue()
+        with open(paths[3]) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    tallies, cut = _loop_cut_tallies(_loop_dual_graph(mesh), parts, num_ranks)
+    assert [row[:4] for row in rows] == [
+        [str(pid), str(parts.count(pid)), str(owner.count(pid)), str(tallies[pid])]
+        for pid in range(num_ranks)
+    ]
+    assert {row[4] for row in rows} == {str(cut)}
+
+
+def _kept_elements(mesh, parts):
+    """How many elements have a corner on two or more parts."""
+    attached = _loop_node_to_parts(mesh, Partition(np.array(parts), max(parts) + 1))
+    return sum(any(len(attached[n]) > 1 for n in nodes.tolist()) for nodes in mesh.element_nodes)
+
+
+def _random_owner(rng, mesh):
+    # An id file's ids may not exceed its length.
+    return [rng.randrange(min(rng.randint(1, 6), mesh.num_nodes + 1)) for _ in range(mesh.num_nodes)]
+
+
+def _fan_mesh(rng):
+    """2-4 blades (elements) on one shared side, all in part 0, in shuffled
+    order; a random subset of blades has an element on its far side, in part
+    1 or 2, so that only those blades touch a node on two parts."""
+    dim = rng.choice([2, 3])
+    half = 2 if dim == 2 else 4  # nodes of a side
+    elems, parts, attached = [], [], 0
+    next_node = half
+    for _ in range(rng.randint(2, 4)):
+        far = list(range(next_node, next_node + half))
+        next_node += half
+        if dim == 2:  # the far side (a, b) is opposite the shared side (0, 1)
+            blade = [0, 1] + far[::-1] if rng.random() < 0.5 else [1, 0] + far
+            blade = blade[(k := rng.randrange(4)):] + blade[:k]  # rotated: the same sides
+        else:
+            blade = list(range(half)) + far
+        elems.append(blade)
+        parts.append(0)
+        if rng.random() < 0.5:
+            beyond = list(range(next_node, next_node + half))
+            next_node += half
+            elems.append(far + beyond if dim == 3 else [far[0], far[1], beyond[1], beyond[0]])
+            parts.append(rng.choice([1, 2]))
+            attached += 1
+    order = list(range(len(elems)))
+    rng.shuffle(order)
+    mesh = Mesh(dim, np.array([elems[i] for i in order]), np.zeros((next_node, dim)))
+    return mesh, [parts[i] for i in order], attached
+
+
 class TestReportCuts:
     @given(st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)
     def test_report_cuts_match_loop_dual(self, seed):
-        """``report --format csv``'s ``edge_cuts`` and ``global_edge_cut`` equal
-        tallies of the loop dual graph's cut edges, with element parts that
-        leave ids unused and ownership files that may name more ranks. A folded
-        mesh's pair of elements is one edge of the loop dual graph."""
+        """Random meshes and parts that leave ids unused, with ownership files
+        that may name more ranks. A folded mesh's pair of elements is one edge
+        of the loop dual graph."""
         rng = random.Random(seed)
         mesh = _random_mesh(rng)
         if not mesh.num_elements or _first_unused_node(mesh) is not None:
             return  # read_mesh or read_partition refuses it
-        # An id file's ids may not exceed its length.
-        parts, owner = (
-            [rng.randrange(min(rng.randint(1, 6), n + 1)) for _ in range(n)]
-            for n in (mesh.num_elements, mesh.num_nodes)
-        )
-        num_ranks = max(parts + owner) + 1
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = [os.path.join(tmp, name) for name in ("m.txt", "p.txt", "n.txt", "o.txt")]
-            write_mesh(mesh, paths[0])
-            for path, ids in zip(paths[1:3], (parts, owner)):
-                with open(path, "w") as fh:
-                    fh.write("".join(f"{i}\n" for i in ids))
-            stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # empty ranks make the ratios infinite
-                status = main(["report", "--mesh", paths[0], "--elem-part", paths[1],
-                               "--node-part", paths[2], "--format", "csv", "--out", paths[3]])
-            assert status == 0, stderr.getvalue()
-            with open(paths[3]) as fh:
-                rows = [line.split(",") for line in fh.read().splitlines()[1:]]
-        tallies, cut = _loop_cut_tallies(_loop_dual_graph(mesh), parts, num_ranks)
-        assert [row[:4] for row in rows] == [
-            [str(pid), str(parts.count(pid)), str(owner.count(pid)), str(tallies[pid])]
-            for pid in range(num_ranks)
-        ]
-        assert {row[4] for row in rows} == {str(cut)}
+        parts = [rng.randrange(min(rng.randint(1, 6), mesh.num_elements + 1))
+                 for _ in range(mesh.num_elements)]
+        _loop_check_report(mesh, parts, _random_owner(rng, mesh))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_report_cuts_match_loop_dual_on_block_splits(self, seed):
+        """Block splits of structured grids, in shuffled element order, with a
+        few elements flipped to another block: most elements are inside a block,
+        so report matches only the sides of some."""
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            shape = [rng.randint(2, 12), rng.randint(2, 12)]
+            mesh = generate_structured_quad(*shape)
+        else:
+            shape = [rng.randint(2, 5) for _ in range(3)]
+            mesh = generate_structured_hex(*shape)
+        blocks = [rng.randint(1, n) for n in shape]
+        counts = [-(-n // b) for n, b in zip(shape, blocks)]
+        e = np.arange(mesh.num_elements)
+        parts, scale = np.zeros_like(e), 1
+        for axis, (n, b, c) in enumerate(zip(shape, blocks, counts)):
+            parts += e // math.prod(shape[:axis]) % n // b * scale
+            scale *= c
+        parts = parts.tolist()
+        for _ in range(rng.randint(0, 3)):
+            parts[rng.randrange(len(parts))] = rng.randrange(scale)
+        order = list(range(mesh.num_elements))
+        rng.shuffle(order)
+        mesh = Mesh(mesh.dim, mesh.element_nodes[order], mesh.node_coords)
+        parts = [parts[i] for i in order]
+        _loop_check_report(mesh, parts, _random_owner(rng, mesh))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_report_cuts_match_loop_dual_on_fans(self, seed):
+        """A side shared by two to four elements lies in one part, and only the
+        blades with an element on their far side touch a node on two parts."""
+        rng = random.Random(seed)
+        mesh, parts, attached = _fan_mesh(rng)
+        kept = _kept_elements(mesh, parts)
+        assert kept == 2 * attached  # each attached blade and its neighbour
+        _loop_check_report(mesh, parts, _random_owner(rng, mesh))

@@ -3,13 +3,15 @@
 Readers hold one block of lines plus the arrays they return (and, for a
 graph, a key per neighbor listing), side matching holds packed keys instead
 of sorted copies of every side, the node-to-parts map sorts its corner keys
-in place, the interface strategy matches only the sides of elements on a
-multi-rank node, and the gain engine walks the flat CSR lists it holds
-instead of caching a neighbour list per moved vertex. Each bound is a stated
-multiple of what the call returns or reads (or, for the interface strategy
-and the engine, a fixed size) that the whole-file readers, the chunk line
-splitter, ``np.unique``, the sort of every side, a second check of a graph's
-edges for repeats and the per-vertex neighbour cache exceeded.
+in place, the interface strategy and ``report`` match only the sides of
+elements on a multi-rank node, the node strategies list the ranks of only
+the nodes on three or more, and the gain engine walks the flat CSR lists it
+holds instead of caching a neighbour list per moved vertex. Each bound is a
+stated multiple of what the call returns or reads (or, for the node
+strategies, ``report`` and the engine, a fixed size) that the whole-file
+readers, the chunk line splitter, ``np.unique``, the sort of every side, a
+second check of a graph's edges for repeats, the per-vertex neighbour cache
+and the lists of the whole node-to-ranks map exceeded.
 """
 
 import tracemalloc
@@ -20,6 +22,8 @@ import pytest
 from hierpart import (
     Partition,
     assign_interface_partition,
+    assign_lowest_rank,
+    assign_parity,
     dual_graph,
     generate_structured_hex,
     generate_structured_quad,
@@ -28,10 +32,12 @@ from hierpart import (
     read_partition,
     write_graph,
     write_mesh,
+    write_ownership,
     write_partition,
 )
 from hierpart import kway
-from hierpart.mesh import _node_parts
+from hierpart.cli import main
+from hierpart.mesh import _local_sides, _node_parts, _shared_sides
 
 
 def _peak(fn, *args):
@@ -107,13 +113,50 @@ def test_node_parts_holds_little_beyond_the_element_array(hex40):
     assert peak <= 1.5 * hex40.element_nodes.nbytes, peak
 
 
-def test_interface_strategy_matches_only_sides_near_an_interface():
-    # 16 blocks of 64x64 on quad 256²: matching every side peaked at 19.8 MiB.
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shared_sides_holds_its_keys_and_their_order(hex40, dim):
+    # Quad 256² and hex 40³: the loops' last key and view of the sort order
+    # kept both alive to the end, and the peak was 36.9 and 36.8 bytes a
+    # side. Now 22.5 and 26.5.
+    mesh = generate_structured_quad(256, 256) if dim == 2 else hex40
+    sides = mesh.num_elements * len(_local_sides(mesh))
+    _, peak = _peak(_shared_sides, mesh)
+    assert peak <= (24 if dim == 2 else 28) * sides, peak / sides
+
+
+@pytest.fixture(scope="module")
+def quad256_blocks():
+    """Quad 256² cut into 16 blocks of 64x64."""
     mesh = generate_structured_quad(256, 256)
     x, y = np.arange(mesh.num_elements) % 256, np.arange(mesh.num_elements) // 256
-    partition = Partition(x // 64 + 4 * (y // 64), 16)
-    _, peak = _peak(assign_interface_partition, mesh, partition, 0)
-    assert peak <= 12 * 2**20, peak
+    return mesh, Partition(x // 64 + 4 * (y // 64), 16)
+
+
+def test_interface_strategy_matches_only_sides_near_an_interface(quad256_blocks):
+    # Matching every side peaked at 19.8 MiB, and turning the whole
+    # node-to-ranks map into lists at 5.3 MiB; now 3.0.
+    _, peak = _peak(assign_interface_partition, *quad256_blocks, 0)
+    assert peak <= 4 * 2**20, peak
+
+
+def test_parity_strategy_lists_the_ranks_of_only_multi_rank_nodes(quad256_blocks):
+    # Turning the whole node-to-ranks map into lists peaked at 5.2 MiB; now 3.0.
+    _, peak = _peak(assign_parity, *quad256_blocks)
+    assert peak <= 4 * 2**20, peak
+
+
+def test_report_matches_only_sides_near_an_interface(quad256_blocks, tmp_path):
+    # Matching every side of the mesh peaked at 13.3 MiB; now 7.0.
+    mesh, partition = quad256_blocks
+    paths = [str(tmp_path / name) for name in ("m.txt", "p.txt", "n.txt", "r.csv")]
+    write_mesh(mesh, paths[0])
+    write_partition(partition, paths[1])
+    write_ownership(assign_lowest_rank(mesh, partition), paths[2])
+    argv = ["report", "--mesh", paths[0], "--elem-part", paths[1], "--node-part", paths[2],
+            "--format", "csv", "--out", paths[3]]
+    status, peak = _peak(main, argv)
+    assert status == 0
+    assert peak <= 8 * 2**20, peak
 
 
 def test_one_fm_pass_holds_under_600_bytes_a_vertex(monkeypatch):
