@@ -1,11 +1,11 @@
-"""Two-level hierarchical partitioning with a simulated rank-distributed exchange.
+"""Two-level hierarchical partitioning.
 
 The driver splits the requested part count into groups (one per compute node,
 each holding up to ``group_size`` cores), partitions the graph across groups
-with proportional target weights, redistributes vertices to their group the
-way rank-local chunks would be exchanged over a network, partitions each
-group's subgraph across its cores, and stitches the two levels into final
-part ids.
+with proportional target weights, partitions each group's subgraph across its
+cores, and stitches the two levels into final part ids. The driver does not
+run :func:`trivial_distribute` and :func:`discover_exchange`: they model the
+paper's redistribution between the stages, and acceptance a10 checks them.
 """
 
 from __future__ import annotations
@@ -180,13 +180,12 @@ def hierarchical_partition(
     """Two-level partition: across groups first, then across cores within each.
 
     Stage one cuts the graph into ``num_groups`` parts with weights
-    proportional to each group's share of the final parts; vertices are then
-    exchanged between simulated ranks so each group holds its own subgraph;
-    stage two cuts each subgraph uniformly into that group's part count with a
-    per-group seed (``seed ^ group``); the composed result has every final
-    part nonempty. Stage two cuts every group's subgraph through
-    :func:`hierpart.kway._cut_subgraphs`, which may run groups side by side
-    in forked workers; the result does not depend on it.
+    proportional to each group's share of the final parts; stage two cuts each
+    group's vertices, as stage one left them, uniformly into that group's part
+    count with a per-group seed (``seed ^ group``); the composed result has
+    every final part nonempty. Stage two runs through
+    :func:`hierpart.kway._cut_subgraphs`, which may cut groups side by side in
+    forked workers; the result does not depend on it.
     """
     # Refuse a part count past the vertex count before compute_splits sizes
     # arrays by it; with group_size < 1, compute_splits' range error wins.
@@ -202,10 +201,8 @@ def hierarchical_partition(
         min_part_counts=plan.group_counts,
     )
 
-    layout = trivial_distribute(g.num_vertices, plan.num_groups)
-    exchange = discover_exchange(layout, p1)
-
-    # Groups of one part keep p2 = 0; the others are cut side by side.
+    # Each group's vertices, ascending by the stable sort; one-part groups keep p2 = 0.
+    members = np.split(np.argsort(p1.parts, kind="stable"), np.cumsum(p1.part_sizes())[:-1])
     groups = np.flatnonzero(plan.group_counts > 1).tolist()
 
     def stage2(subgraph: Graph, i: int) -> np.ndarray:
@@ -214,6 +211,6 @@ def hierarchical_partition(
             subgraph, parts_here, None, seed ^ groups[i], imbalance_tol=imbalance_tol
         ).parts
 
-    p2 = _cut_subgraphs(g, [exchange.received(group) for group in groups], stage2)
+    p2 = _cut_subgraphs(g, [members[group] for group in groups], stage2)
     max_group_parts = int(plan.group_counts.max())
     return compose_final(p1, Partition(p2, max_group_parts), plan)

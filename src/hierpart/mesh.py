@@ -6,6 +6,7 @@ elements, so every small example can be enumerated by hand.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,7 +263,9 @@ def _interface_elements(mesh: Mesh, offsets: np.ndarray) -> tuple[np.ndarray, Me
     a side that pairs up differently lies in one part.
     """
     kept = np.flatnonzero((np.diff(offsets) >= 2)[mesh.element_nodes].any(axis=1))
-    return kept, Mesh(mesh.dim, mesh.element_nodes[kept], mesh.node_coords)
+    sub = copy.copy(mesh)  # rows of a checked mesh: no second check in __post_init__
+    sub.element_nodes = mesh.element_nodes[kept]
+    return kept, sub
 
 
 def _pair_nodes(offsets: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -190,6 +190,27 @@ def test_report_builds_no_graph(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_interface_commands_check_the_element_rows_once(tmp_path, monkeypatch):
+    """The interface sub-mesh reuses rows read_mesh checked: one repeat scan per command."""
+    mesh, epart, npart = tmp_path / "m.txt", tmp_path / "p.txt", tmp_path / "n.txt"
+    run("gen-mesh", "--nx", 6, "--ny", 5, "--out", mesh)
+    run("partition", "--mesh", mesh, "--np", 4, "--np2", 2, "--out", epart)
+    module = importlib.import_module("hierpart.mesh")
+    original, scanned = module._first_repeat, []
+
+    def spy(element_nodes):
+        scanned.append(len(element_nodes))
+        return original(element_nodes)
+
+    monkeypatch.setattr(module, "_first_repeat", spy)
+    assert run("assign-nodes", "--mesh", mesh, "--elem-part", epart,
+               "--node-strategy", "interface", "--out", npart) == 0
+    assert scanned == [30]
+    scanned.clear()
+    assert run("report", "--mesh", mesh, "--elem-part", epart, "--node-part", npart) == 0
+    assert scanned == [30]
+
+
 def test_report_counts_a_folded_pair_once(tmp_path, capsys):
     """Two quads that share all four sides, in two parts: one cut element pair."""
     mesh, epart, npart, out = (tmp_path / name for name in ("m.txt", "p.txt", "n.txt", "o.txt"))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierpart import hierarchy
+from hierpart import hierarchy, kway
 from hierpart import (
     InfeasibleError,
     Partition,
@@ -133,7 +133,8 @@ class TestDiscoverExchange:
         everything = np.concatenate([plan.received(c) for c in range(ranks)])
         assert np.array_equal(np.sort(everything), np.arange(nv))
         for c in range(ranks):
-            assert len(plan.received(c)) == int((p1.parts == c).sum())
+            # What the driver takes for group c: the same ids in the same order.
+            assert plan.received(c).tolist() == np.flatnonzero(p1.parts == c).tolist()
 
 
 class TestComposeFinal:
@@ -235,21 +236,43 @@ class TestHierarchicalPartition:
             assert p.num_parts == total
             assert p.part_sizes().min() >= 1
 
-    def test_stage_two_seeds_follow_the_group_id(self):
-        # A one-part remainder group leads, so the groups that run stage two
-        # (1 and 2) are not the first ones in the list of those that do.
+    @pytest.mark.parametrize(
+        "total, group_size, seed", [(9, 4, 6), (17, 8, 3), (30, 7, 1), (13, 5, 11)]
+    )
+    def test_stage_two_seeds_follow_the_group_id(self, total, group_size, seed):
+        # A remainder group leads. When it holds one part (9/4, 17/8) it runs no
+        # stage two, so the groups that do are not the first ones in their list.
         g = dual_graph(generate_structured_quad(12, 12))
-        plan = compute_splits(9, 4)
-        assert plan.group_counts.tolist() == [1, 4, 4]
+        plan = compute_splits(total, group_size)
+        assert 0 < plan.group_counts[0] < group_size
         p1 = partition_kway(
-            g, plan.num_groups, plan.weights, seed=6, min_part_counts=plan.group_counts
+            g, plan.num_groups, plan.weights, seed=seed, min_part_counts=plan.group_counts
         )
-        final = hierarchical_partition(g, 9, 4, seed=6)
-        for group in (1, 2):
+        final = hierarchical_partition(g, total, group_size, seed=seed)
+        for group, count in enumerate(plan.group_counts.tolist()):
             members = np.flatnonzero(p1.parts == group)
-            sub, _ = extract_subgraph(g, members)
-            local = partition_kway(sub, 4, TargetWeights.uniform(4), seed=6 ^ group)
-            assert np.array_equal(final.parts[members], plan.offsets[group] + local.parts)
+            local = np.zeros(len(members), dtype=np.int64)
+            if count > 1:
+                sub, _ = extract_subgraph(g, members)
+                weights = TargetWeights.uniform(count)
+                local = partition_kway(sub, count, weights, seed=seed ^ group).parts
+            assert np.array_equal(final.parts[members], plan.offsets[group] + local)
+
+    @pytest.mark.parametrize("total, group_size", [(9, 4), (30, 7), (8, 4), (5, 1)])
+    def test_every_stage_is_cut_through_the_traced_name(self, monkeypatch, total, group_size):
+        # perfbench's tracer sees both stages only as calls to hierarchy.partition_kway.
+        monkeypatch.setattr(kway, "_spare_cpus", 0)
+        original, part_counts = hierarchy.partition_kway, []
+
+        def spy(g, num_parts, *args, **kwargs):
+            part_counts.append(num_parts)
+            return original(g, num_parts, *args, **kwargs)
+
+        monkeypatch.setattr(hierarchy, "partition_kway", spy)
+        g = dual_graph(generate_structured_quad(12, 12))
+        hierarchical_partition(g, total, group_size, seed=0)
+        counts = compute_splits(total, group_size).group_counts.tolist()
+        assert part_counts == [len(counts)] + [count for count in counts if count > 1]
 
     def test_cut_is_reported_consistently(self):
         g = dual_graph(generate_structured_quad(12, 12))
