@@ -19,7 +19,6 @@ import argparse
 import math
 import sys
 import time
-import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import FileFormatError, InfeasibleError
 from .graph import (
     Graph,
     Partition,
+    _max_over_min,
     balance_stats,
     edge_cut,
     read_graph,
@@ -195,12 +195,9 @@ def run_assign_nodes(args: argparse.Namespace) -> None:
 
 def _elem_ratio(partition: Partition) -> float:
     """Element max/min per part; like NR, infinite with a warning when a part is empty."""
-    sizes = partition.part_sizes()
-    empty = np.flatnonzero(sizes == 0).tolist()
-    if empty:
-        warnings.warn(f"part(s) {empty} hold zero elements; elem max/min is infinite", stacklevel=2)
-        return float("inf")
-    return balance_stats(sizes).max_over_min
+    return _max_over_min(
+        partition.part_sizes(), "part(s) {} hold zero elements; elem max/min is infinite"
+    )
 
 
 def _report_rows(args: argparse.Namespace) -> tuple[list[tuple], int, float, float]:

@@ -305,6 +305,18 @@ def balance_stats(sizes: Sequence[int]) -> BalanceStats:
     return BalanceStats(hi, lo, hi / lo, hi / (arr.sum() / arr.size))
 
 
+def _max_over_min(counts: np.ndarray, zero_warning: str) -> float:
+    """Max over min of ``counts``, or ``inf`` when a count is 0 (a verdict, not an error).
+
+    That warns ``zero_warning.format(ids of the zero counts)`` at the caller's caller.
+    """
+    empty = np.flatnonzero(counts == 0).tolist()
+    if empty:
+        warnings.warn(zero_warning.format(empty), stacklevel=3)
+        return float("inf")
+    return int(counts.max()) / int(counts.min())
+
+
 # ---------------------------------------------------------------------------
 # File formats.
 #

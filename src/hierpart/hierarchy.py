@@ -20,7 +20,6 @@ from .kway import TargetWeights, _cut_subgraphs, _refuse_part_count, partition_k
 
 __all__ = [
     "SplitPlan",
-    "RankLayout",
     "ExchangePlan",
     "compute_splits",
     "trivial_distribute",
@@ -80,18 +79,12 @@ def compute_splits(total_parts: int, group_size: int) -> SplitPlan:
     return SplitPlan(total_parts, num_groups, counts, TargetWeights(weights), offsets)
 
 
-@dataclass(eq=False)
-class RankLayout:
-    """Contiguous chunk of vertex ids owned by each simulated rank."""
-
-    num_ranks: int
-    chunk_bounds: np.ndarray  # shape (num_ranks, 2); half-open [start, end)
-
-
-def trivial_distribute(num_vertices: int, num_ranks: int) -> RankLayout:
+def trivial_distribute(num_vertices: int, num_ranks: int) -> np.ndarray:
     """Deal vertices to ranks in contiguous id-ordered chunks of near-equal size.
 
-    The first ``num_vertices mod num_ranks`` ranks receive one extra vertex.
+    Returns a ``(num_ranks, 2)`` int64 array of each rank's half-open
+    ``[start, end)`` chunk. The first ``num_vertices mod num_ranks`` ranks
+    receive one extra vertex.
     """
     if num_ranks < 1:
         raise ValueError("num_ranks must be >= 1")
@@ -102,7 +95,7 @@ def trivial_distribute(num_vertices: int, num_ranks: int) -> RankLayout:
     sizes[:extra] += 1
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    return RankLayout(num_ranks, np.column_stack([starts, ends]))
+    return np.column_stack([starts, ends])
 
 
 @dataclass(eq=False)
@@ -131,21 +124,20 @@ class ExchangePlan:
         return sum(len(v) for v in self.transfers.values())
 
 
-def discover_exchange(layout: RankLayout, p1: Partition) -> ExchangePlan:
+def discover_exchange(chunk_bounds: np.ndarray, p1: Partition) -> ExchangePlan:
     """Pair every chunk-owned vertex with the rank its first-stage part lives on.
 
+    ``chunk_bounds`` is :func:`trivial_distribute`'s array, one row per rank.
     Mirrors a two-sided discovery: each sender walks its own chunk in vertex-id
     order and files each vertex under (sender, destination part).
     """
-    if p1.num_parts > layout.num_ranks:
-        raise ValueError(
-            f"first-stage part count {p1.num_parts} exceeds rank count {layout.num_ranks}"
-        )
-    if len(p1.parts) and int(p1.parts.max()) >= layout.num_ranks:
+    num_ranks = len(chunk_bounds)
+    if p1.num_parts > num_ranks:
+        raise ValueError(f"first-stage part count {p1.num_parts} exceeds rank count {num_ranks}")
+    if len(p1.parts) and int(p1.parts.max()) >= num_ranks:
         raise ValueError("first-stage part id exceeds rank count")
     transfers: dict[tuple[int, int], np.ndarray] = {}
-    for sender in range(layout.num_ranks):
-        start, end = layout.chunk_bounds[sender]
+    for sender, (start, end) in enumerate(chunk_bounds):
         chunk_parts = p1.parts[start:end]
         local_ids = np.arange(start, end, dtype=np.int64)
         for receiver in np.unique(chunk_parts):

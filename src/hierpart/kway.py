@@ -116,10 +116,7 @@ class CoarseningLevel:
     """One coarsening step: the coarse graph plus the fine-to-coarse map."""
 
     graph: Graph
-    projection: np.ndarray  # per-fine-vertex coarse vertex id
-
-    def __post_init__(self):
-        self.projection = np.asarray(self.projection, dtype=np.int64)
+    projection: np.ndarray  # per-fine-vertex coarse vertex id (int64)
 
 
 def heavy_edge_match(g: Graph, seed: int) -> np.ndarray:
@@ -173,7 +170,8 @@ def coarsen(g: Graph, mates: Sequence[int]) -> CoarseningLevel:
 
     representative = ids <= mates
     next_id = int(representative.sum())
-    projection = (np.cumsum(representative) - 1)[np.minimum(ids, mates)]
+    # int64 on every platform: numpy 1.x's default int is 32-bit on Windows.
+    projection = (np.cumsum(representative, dtype=np.int64) - 1)[np.minimum(ids, mates)]
 
     # Weights sum exactly in int64 (bincount would sum in float64). Each
     # undirected fine edge contributes once (cu < cv); parallel edges between
@@ -203,10 +201,11 @@ def initial_bisection(g: Graph, target_fraction: float, start: int) -> Partition
     """Bisect by growing a breadth-first region until it holds the target weight.
 
     The breadth-first walk starts at vertex ``start`` and then at every vertex
-    not yet reached, lowest id first; neighbors are queued by ascending id. A
-    vertex joins the region, part 0, when it leaves the queue, and the walk
-    stops as soon as the region's vertex weight reaches ``target_fraction`` of
-    the total.
+    not yet reached, lowest id first; neighbors are queued in the order of
+    their adjacency run, which ascends by id for every graph built through
+    ``graph._csr`` but need not for a hand-built ``Graph``. A vertex joins the
+    region, part 0, when it leaves the queue, and the walk stops as soon as
+    the region's vertex weight reaches ``target_fraction`` of the total.
     """
     nv = g.num_vertices
     if nv == 0:
@@ -499,15 +498,13 @@ def _coarsening_chain(g: Graph, seed: int) -> list[CoarseningLevel]:
     """Repeated heavy-edge contraction until small or shrinking stalls."""
     chain: list[CoarseningLevel] = []
     current = g
-    level = 0
     while current.num_vertices > _COARSEST_SIZE:
-        mates = heavy_edge_match(current, derive_seed(seed, 1, level))
+        mates = heavy_edge_match(current, derive_seed(seed, 1, len(chain)))
         step = coarsen(current, mates)
         if step.graph.num_vertices > (1.0 - _MIN_SHRINK) * current.num_vertices:
             break
         chain.append(step)
         current = step.graph
-        level += 1
     return chain
 
 

@@ -8,12 +8,11 @@ pairwise interface with the graph partitioner so both ranks get half.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Partition, _csr, _read_ids, _sort_unique, _write_ids
+from .graph import Graph, Partition, _csr, _max_over_min, _read_ids, _sort_unique, _write_ids
 from .kway import _cut_subgraphs, derive_seed, partition_kway
 from .mesh import (
     Mesh, _interface_elements, _local_sides, _node_parts, _pair_nodes, _shared_sides, _side_nodes,
@@ -169,15 +168,9 @@ def node_ratio(ownership: NodeOwnership) -> float:
     A rank owning zero nodes makes the ratio infinite; that is reported with a
     warning rather than raised, since it is a quality verdict, not an error.
     """
-    counts = ownership.counts
-    if counts.size == 0:
+    if ownership.counts.size == 0:
         raise ValueError("ownership has no ranks")
-    lo = int(counts.min())
-    if lo == 0:
-        empty = np.flatnonzero(counts == 0).tolist()
-        warnings.warn(f"rank(s) {empty} own zero nodes; node ratio is infinite", stacklevel=2)
-        return float("inf")
-    return int(counts.max()) / lo
+    return _max_over_min(ownership.counts, "rank(s) {} own zero nodes; node ratio is infinite")
 
 
 # One 0-indexed owning rank per line, one line per node: graph's id-file format.

@@ -140,6 +140,8 @@ def test_report_unused_part_id_reads_inf(tmp_path, capsys, fmt):
     messages = [str(w.message) for w in record]
     assert "rank(s) [1] own zero nodes; node ratio is infinite" in messages
     assert "part(s) [1] hold zero elements; elem max/min is infinite" in messages
+    # Both name the line in cli that asked for the ratio.
+    assert {w.filename for w in record} == {cli.__file__}
     out = capsys.readouterr().out
     expected = [["0", "1", "4", "1"], ["1", "0", "0", "0"], ["2", "1", "2", "1"]]
     if fmt == "csv":
@@ -315,6 +317,34 @@ def test_np2_at_or_past_np_writes_flat_partition(tmp_path, capsys, np2):
     assert run("compare", "--mesh", mesh, "--np", 12, "--np2", np2, "--seed", 3) == 0
     assert capsys.readouterr().err == ""
     assert out.read_bytes() == flat.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "dims, np_, np2", [(("--nx", 12, "--ny", 10), 9, 4), (("--nx", 4, "--ny", 4, "--nz", 3), 6, 4)]
+)
+def test_compare_rows_match_the_single_commands(tmp_path, capsys, dims, np_, np2):
+    # At 9/4 the leading remainder group holds one part and runs no stage two.
+    mesh, part, own = tmp_path / "m.txt", tmp_path / "p.txt", tmp_path / "n.txt"
+    run("gen-mesh", *dims, "--out", mesh)
+    flags = ("--np", np_, "--np2", np2, "--seed", 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a strategy may leave a rank no nodes: NR is infinite
+        capsys.readouterr()
+        assert run("compare", "--mesh", mesh, *flags, "--format", "csv") == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 6
+        for method, strategy, *row in rows:
+            assert row[:3] == [str(np_), str(np2), "5"]
+            assert run("partition", "--mesh", mesh, *flags, "--method", method,
+                       "--out", part, "--format", "csv") == 0
+            edge_cut = capsys.readouterr().out.splitlines()[1].split(",")[0]
+            assert run("assign-nodes", "--mesh", mesh, "--elem-part", part,
+                       "--node-strategy", strategy, "--seed", 5, "--out", own) == 0
+            assert run("report", "--mesh", mesh, "--elem-part", part, "--node-part", own,
+                       "--format", "csv") == 0
+            ratios = {tuple(r.split(",")[5:]) for r in capsys.readouterr().out.splitlines()[1:]}
+            assert len(ratios) == 1
+            assert row[3:] == [edge_cut, *ratios.pop()], (method, strategy)
 
 
 def test_compare_text_table(tmp_path, capsys):

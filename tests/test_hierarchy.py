@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_graph
 from hierpart import hierarchy, kway
 from hierpart import (
     InfeasibleError,
     Partition,
     TargetWeights,
+    build_graph,
     compose_final,
     compute_splits,
     discover_exchange,
@@ -81,14 +83,15 @@ class TestComputeSplits:
 
 class TestTrivialDistribute:
     def test_uneven(self):
-        layout = trivial_distribute(10, 3)
-        assert layout.chunk_bounds.tolist() == [[0, 4], [4, 7], [7, 10]]
+        bounds = trivial_distribute(10, 3)
+        assert bounds.dtype == np.int64
+        assert bounds.tolist() == [[0, 4], [4, 7], [7, 10]]
 
     def test_single_rank(self):
-        assert trivial_distribute(4, 1).chunk_bounds.tolist() == [[0, 4]]
+        assert trivial_distribute(4, 1).tolist() == [[0, 4]]
 
     def test_even(self):
-        assert trivial_distribute(6, 3).chunk_bounds.tolist() == [[0, 2], [2, 4], [4, 6]]
+        assert trivial_distribute(6, 3).tolist() == [[0, 2], [2, 4], [4, 6]]
 
     def test_errors(self):
         with pytest.raises(InfeasibleError):
@@ -99,27 +102,27 @@ class TestTrivialDistribute:
 
 class TestDiscoverExchange:
     def test_small_worked_case(self):
-        layout = trivial_distribute(4, 2)
-        plan = discover_exchange(layout, Partition([1, 0, 0, 1], 2))
+        bounds = trivial_distribute(4, 2)
+        plan = discover_exchange(bounds, Partition([1, 0, 0, 1], 2))
         lists = {k: v.tolist() for k, v in plan.transfers.items()}
         assert lists == {(0, 1): [0], (0, 0): [1], (1, 0): [2], (1, 1): [3]}
         assert plan.received(0).tolist() == [1, 2]
         assert plan.received(1).tolist() == [0, 3]
 
     def test_identity_on_one_rank(self):
-        layout = trivial_distribute(3, 1)
-        plan = discover_exchange(layout, Partition([0, 0, 0], 1))
+        bounds = trivial_distribute(3, 1)
+        plan = discover_exchange(bounds, Partition([0, 0, 0], 1))
         assert plan.transfers[(0, 0)].tolist() == [0, 1, 2]
 
     def test_all_self_sends(self):
-        layout = trivial_distribute(4, 2)
-        plan = discover_exchange(layout, Partition([0, 0, 1, 1], 2))
+        bounds = trivial_distribute(4, 2)
+        plan = discover_exchange(bounds, Partition([0, 0, 1, 1], 2))
         assert set(plan.transfers) == {(0, 0), (1, 1)}
 
     def test_part_id_beyond_ranks(self):
-        layout = trivial_distribute(4, 2)
+        bounds = trivial_distribute(4, 2)
         with pytest.raises(ValueError):
-            discover_exchange(layout, Partition([0, 1, 2, 0], 3))
+            discover_exchange(bounds, Partition([0, 1, 2, 0], 3))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -257,6 +260,25 @@ class TestHierarchicalPartition:
                 weights = TargetWeights.uniform(count)
                 local = partition_kway(sub, count, weights, seed=seed ^ group).parts
             assert np.array_equal(final.parts[members], plan.offsets[group] + local)
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 0.03, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_vertex_weighted_groups_fill_every_part(self, seed, tol):
+        # Heavy vertices may make stage one's balanced groups too small in
+        # count; min_part_counts must still give each group a vertex per part.
+        rng = random.Random(seed)
+        _, edges, nv = random_graph(rng, 40)
+        g = build_graph(edges, nv, [rng.randint(1, 50) for _ in range(nv)])
+        total, group_size = rng.randint(1, nv), rng.randint(1, 48)
+        plan = compute_splits(total, group_size)
+        p1 = partition_kway(
+            g, plan.num_groups, plan.weights, seed=seed, imbalance_tol=tol,
+            min_part_counts=plan.group_counts,
+        )
+        final = hierarchical_partition(g, total, group_size, seed=seed, imbalance_tol=tol)
+        assert final.num_parts == total and final.part_sizes().min() >= 1
+        lo, hi = plan.offsets[p1.parts], plan.offsets[p1.parts] + plan.group_counts[p1.parts]
+        assert ((lo <= final.parts) & (final.parts < hi)).all()
 
     @pytest.mark.parametrize("total, group_size", [(9, 4), (30, 7), (8, 4), (5, 1)])
     def test_every_stage_is_cut_through_the_traced_name(self, monkeypatch, total, group_size):

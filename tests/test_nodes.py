@@ -147,8 +147,9 @@ def test_node_ratio_values():
 
 def test_node_ratio_zero_count_is_infinite():
     own = NodeOwnership.from_owner(np.array([0, 0, 0]), 2)  # rank 1 owns nothing
-    with pytest.warns(UserWarning, match="zero nodes"):
+    with pytest.warns(UserWarning, match=r"rank\(s\) \[1\] own zero nodes") as record:
         assert node_ratio(own) == float("inf")
+    assert record[0].filename == __file__  # the warning names the caller's line
 
 
 def test_ownership_file_round_trip(tmp_path):
