@@ -41,8 +41,8 @@ class Graph:
     ``adjacency_offsets`` has ``num_vertices + 1`` entries; the neighbors of
     vertex ``v`` occupy ``adjacency_list[offsets[v]:offsets[v+1]]`` with edge
     weights in the parallel ``edge_weights`` slice. Every undirected edge is
-    stored once per direction with equal weight. Each graph hierpart makes
-    comes from one CSR step, :func:`build_graph`'s, so adjacency runs ascend.
+    stored once per direction with equal weight. Dual graphs, coarse levels, subgraphs,
+    interface graphs and graph files all come from one CSR step, so adjacency runs ascend.
     """
 
     adjacency_offsets: np.ndarray
@@ -221,7 +221,7 @@ def _exact_sum(values: np.ndarray) -> int:
 
 
 def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Check the edges given to :func:`build_graph`; return keys ``min * num_vertices + max``.
+    """Check an edge list's columns; return keys ``min * num_vertices + max``.
 
     Raise for the first bad edge in input order. Each edge is checked for a self-loop,
     then range, then weight, then for repeating an earlier edge in either orientation.
@@ -254,9 +254,9 @@ def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, num_vertices: int)
 def extract_subgraph(graph: Graph, vertex_set: Sequence[int]) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on ``vertex_set``; local ids follow the given order.
 
-    Only the selected rows are read. The subgraph comes from :func:`build_graph`,
-    repeat check included, since ``graph`` may be built by hand: one that is not
-    simple raises there. Each local adjacency run is ascending. Returns the
+    Only the selected rows are read. The induced edges get :func:`build_graph`'s
+    checks, repeat check included, since ``graph`` may be built by hand: one that is
+    not simple raises there. Each local adjacency run is ascending. Returns the
     subgraph and the local-to-global id map.
     """
     local_to_global = np.asarray(vertex_set, dtype=np.int64)
@@ -278,8 +278,9 @@ def extract_subgraph(graph: Graph, vertex_set: Sequence[int]) -> tuple[Graph, np
     mapped = global_to_local[graph.adjacency_list[positions]]
     rows = np.repeat(np.arange(n_local), degrees)
     keep = mapped >= rows
-    edges = np.column_stack([rows[keep], mapped[keep], graph.edge_weights[positions[keep]]])
-    return build_graph(edges, n_local, graph.vertex_weights[local_to_global]), local_to_global
+    u, v, w = rows[keep], mapped[keep], graph.edge_weights[positions[keep]]
+    vwgt = graph.vertex_weights[local_to_global]
+    return _csr(_check_edges(u, v, w, n_local), w, n_local, vwgt), local_to_global
 
 
 def edge_cut(graph: Graph, partition: Partition) -> int:

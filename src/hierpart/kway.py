@@ -418,7 +418,6 @@ def fm_refine(g: Graph, p: Partition, target_fraction: float, imbalance_tol: flo
     heaps = _GainHeaps(g)
     cut = edge_cut(g, Partition(parts, 2))
     for _ in range(_MAX_FM_PASSES):
-        pass_start_cut = cut
         heaps.load(parts)
         side_of, gains = heaps.parts, heaps.gains
         trail: list[int] = []
@@ -438,9 +437,9 @@ def fm_refine(g: Graph, p: Partition, target_fraction: float, imbalance_tol: flo
         for v in reversed(trail[best_len:]):  # roll back past the best prefix
             side_of[v] ^= 1
         parts = np.array(side_of, dtype=np.int64)
-        cut = best_cut
-        if cut >= pass_start_cut:
+        if best_cut >= cut:
             break
+        cut = best_cut
     return Partition(parts, 2)
 
 
@@ -476,20 +475,18 @@ def _rebalance(
 def _repair_counts(
     g: Graph, parts: np.ndarray, min_counts: tuple[int, int]
 ) -> np.ndarray:
-    """Move best-gain vertices into whichever side falls short of its minimum."""
-    counts = [int((parts == 0).sum()), int((parts == 1).sum())]
-    if counts[0] >= min_counts[0] and counts[1] >= min_counts[1]:
+    """Move best-gain vertices into the side that falls short of its minimum; as
+    ``min_counts`` must total at most ``g.num_vertices``, at most one side does."""
+    short = [min_counts[side] - int((parts == side).sum()) for side in (0, 1)]
+    side = 0 if short[0] > 0 else 1
+    if short[side] <= 0:
         return parts
     heaps = _GainHeaps(g)
     heaps.load(parts)
-    for side in (0, 1):
-        other = 1 - side
-        # Only the other side's vertices move: onto side 0 raises w0, onto side 1 lowers it.
-        lo, hi = (1, math.inf) if side == 0 else (-math.inf, -1)
-        while counts[side] < min_counts[side]:
-            heaps.step(heaps.w0 + lo, heaps.w0 + hi)
-            counts[side] += 1
-            counts[other] -= 1
+    # Only the other side's vertices move: onto side 0 raises w0, onto side 1 lowers it.
+    lo, hi = (1, math.inf) if side == 0 else (-math.inf, -1)
+    for _ in range(short[side]):
+        heaps.step(heaps.w0 + lo, heaps.w0 + hi)
     parts[:] = heaps.parts
     return parts
 

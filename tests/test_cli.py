@@ -192,6 +192,23 @@ def test_report_builds_no_graph(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_no_command_builds_through_build_graph(tmp_path, monkeypatch):
+    """build_graph is the entry for edge lists from outside: dual graphs, coarse
+    levels, subgraphs and interface graphs all go straight to the CSR step."""
+    mesh, epart, npart = tmp_path / "m.txt", tmp_path / "p.txt", tmp_path / "n.txt"
+    run("gen-mesh", "--nx", 12, "--ny", 10, "--out", mesh)
+    calls = []
+    real = graph_module.build_graph
+    monkeypatch.setattr(graph_module, "build_graph", lambda *a: calls.append(1) or real(*a))
+    for method in ("flat", "hierarch"):
+        assert run("partition", "--mesh", mesh, "--np", 9, "--np2", 4, "--method", method,
+                   "--out", epart) == 0
+    assert run("assign-nodes", "--mesh", mesh, "--elem-part", epart,
+               "--node-strategy", "interface", "--out", npart) == 0
+    assert run("report", "--mesh", mesh, "--elem-part", epart, "--node-part", npart) == 0
+    assert calls == []
+
+
 def test_interface_commands_check_the_element_rows_once(tmp_path, monkeypatch):
     """The interface sub-mesh reuses rows read_mesh checked: one repeat scan per command."""
     mesh, epart, npart = tmp_path / "m.txt", tmp_path / "p.txt", tmp_path / "n.txt"

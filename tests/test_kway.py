@@ -681,6 +681,24 @@ class TestPartitionKway:
         sizes = p.part_sizes()
         assert (sizes >= np.array([2, 4, 4])).all()
 
+    @given(st.integers(0, 100_000), st.sampled_from([0.0, 0.03, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_min_part_counts_hold_on_vertex_weighted_graphs(self, seed, tol):
+        # Heavy vertices pull a balanced bisection's count below a side's
+        # minimum; the count repair must still give every part its minimum.
+        rng = random.Random(seed)
+        _, edges, nv = random_graph(rng, 40)
+        nv = max(nv, 2)  # a second, isolated vertex makes room for two parts
+        g = build_graph(edges, nv, [rng.randint(1, 50) for _ in range(nv)])
+        k = rng.randint(2, min(8, nv))
+        total = rng.randint(k, nv)
+        cuts = sorted(rng.sample(range(1, total), k - 1))
+        mins = np.diff([0, *cuts, total])
+        shares = np.array([rng.randint(1, 20) for _ in range(k)])
+        p = partition_kway(g, k, TargetWeights(shares / shares.sum()), seed=seed,
+                           imbalance_tol=tol, min_part_counts=mins)
+        assert (p.part_sizes() >= mins).all(), (p.part_sizes(), mins)
+
     def test_every_part_nonempty_at_the_limit(self):
         g = dual_graph(generate_structured_quad(3, 2))
         p = partition_kway(g, 6, TargetWeights.uniform(6), seed=3)

@@ -11,7 +11,10 @@ stated multiple of what the call returns or reads (or, for the node
 strategies, ``report`` and the engine, a fixed size) that the whole-file
 readers, the chunk line splitter, ``np.unique``, the sort of every side, a
 second check of a graph's edges for repeats, the per-vertex neighbour cache
-and the lists of the whole node-to-ranks map exceeded.
+and the lists of the whole node-to-ranks map exceeded. A subgraph's edges
+go straight to the CSR step, not through an ``(m, 3)`` stack of them; the
+coarsening chain and one matching are bounded where they stand, so that any
+regression fails first.
 """
 
 import tracemalloc
@@ -25,6 +28,7 @@ from hierpart import (
     assign_lowest_rank,
     assign_parity,
     dual_graph,
+    extract_subgraph,
     generate_structured_hex,
     generate_structured_quad,
     read_graph,
@@ -168,3 +172,29 @@ def test_one_fm_pass_holds_under_600_bytes_a_vertex(monkeypatch):
     monkeypatch.setattr(kway, "_MAX_FM_PASSES", 1)
     _, peak = _peak(kway.fm_refine, graph, Partition(sides, 2), 0.5, 0.03)
     assert peak <= 600 * graph.num_vertices, peak / graph.num_vertices
+
+
+def test_extract_subgraph_holds_little_beyond_its_graph(hex40):
+    # The first half of the hex 40³ dual: stacking the induced edges into an
+    # (m, 3) array for build_graph peaked at 4.50x the subgraph's arrays; handing
+    # the columns to the CSR step, at 3.86x.
+    graph = dual_graph(hex40)
+    (sub, _), peak = _peak(extract_subgraph, graph, np.arange(graph.num_vertices // 2))
+    assert peak <= 4.2 * _array_bytes(sub), peak / _array_bytes(sub)
+
+
+def test_coarsening_chain_holds_little_beyond_its_levels(hex40):
+    # The hex 40³ dual coarsens in 12 levels whose graphs and projections
+    # hold 13.3 MiB; building the chain peaks at 24.4 MiB, 1.84x.
+    chain, peak = _peak(kway._coarsening_chain, dual_graph(hex40), 0)
+    held = sum(_array_bytes(level.graph) + level.projection.nbytes for level in chain)
+    assert peak <= 2.0 * held, peak / held
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_one_matching_holds_under_450_bytes_a_vertex(hex40, n):
+    # One heavy-edge matching of the hex 24³ and 40³ duals peaks at 392 and
+    # 400 bytes a vertex.
+    graph = dual_graph(hex40 if n == 40 else generate_structured_hex(n, n, n))
+    _, peak = _peak(kway.heavy_edge_match, graph, 0)
+    assert peak <= 450 * graph.num_vertices, peak / graph.num_vertices
